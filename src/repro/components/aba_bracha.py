@@ -28,6 +28,7 @@ the common case inside ACS).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback
@@ -58,6 +59,20 @@ class _RoundState:
     completed_phases: set[int] = field(default_factory=set)
     mini: dict[tuple[int, int], _MiniRbcState] = field(default_factory=dict)
     my_votes: dict[int, Any] = field(default_factory=dict)
+    #: accepted minis per phase, bumped where ``_MiniRbcState.accepted`` flips
+    accepted: dict[int, int] = field(default_factory=dict)
+
+
+@lru_cache(maxsize=256)
+def _parse_phase(phase: str) -> Optional[tuple[int, str]]:
+    """``"p{n}_{kind}"`` -> ``(n, kind)``, or ``None`` if malformed."""
+    parts = phase.split("_", 1)
+    if len(parts) != 2 or not parts[0].startswith("p"):
+        return None
+    try:
+        return int(parts[0][1:]), parts[1]
+    except ValueError:
+        return None
 
 
 class BrachaAba(Component):
@@ -94,19 +109,16 @@ class BrachaAba(Component):
     # ----------------------------------------------------------------- handle
     def handle(self, message: ComponentMessage) -> None:
         """Process phase votes and DECIDED notices."""
-        if message.phase == "decided":
+        phase = message.phase
+        if phase == "decided":
             self._on_decided(message)
             return
-        parts = message.phase.split("_", 1)
-        if len(parts) != 2 or not parts[0].startswith("p"):
+        parsed = _parse_phase(phase)
+        if parsed is None:
             return
-        try:
-            phase_number = int(parts[0][1:])
-        except ValueError:
-            return
-        kind = parts[1]
+        phase_number, kind = parsed
         round_number = message.round
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._round_state(round_number)
         if kind == "initial":
             self._on_vote_initial(state, round_number, phase_number, message)
         elif kind == "echo":
@@ -114,9 +126,23 @@ class BrachaAba(Component):
         elif kind == "ready":
             self._on_vote_ready(state, round_number, phase_number, message)
 
+    def _round_state(self, round_number: int) -> _RoundState:
+        state = self._rounds.get(round_number)
+        if state is None:
+            state = self._rounds[round_number] = _RoundState()
+        return state
+
     # ------------------------------------------------------- mini-RBC machinery
+    #
+    # A mini-RBC's thresholds are tested only on the value whose echo or
+    # ready set just grew: every growth is tested at once, so no other value
+    # can have crossed a threshold unnoticed.
     def _mini(self, state: _RoundState, phase: int, voter: int) -> _MiniRbcState:
-        return state.mini.setdefault((phase, voter), _MiniRbcState())
+        key = (phase, voter)
+        mini = state.mini.get(key)
+        if mini is None:
+            mini = state.mini[key] = _MiniRbcState()
+        return mini
 
     def _on_vote_initial(self, state: _RoundState, round_number: int,
                          phase: int, message: ComponentMessage) -> None:
@@ -128,49 +154,55 @@ class BrachaAba(Component):
                 mini.echo_sent = True
                 self.send(f"p{phase}_echo", {"voter": voter, "value": mini.value},
                           round_number=round_number, slot=voter)
-        self._check_mini(state, round_number, phase, voter)
+        self._check_phase_completion(state, round_number, phase)
 
     def _on_vote_echo(self, state: _RoundState, round_number: int,
                       phase: int, message: ComponentMessage) -> None:
-        voter = message.payload.get("voter")
-        value = message.payload.get("value")
+        payload = message.payload
+        voter = payload.get("voter")
         if voter is None:
             return
         mini = self._mini(state, phase, voter)
-        mini.echoes.setdefault(value, set()).add(message.sender)
-        self._check_mini(state, round_number, phase, voter)
+        if not mini.ready_sent:
+            value = payload.get("value")
+            echoers = mini.echoes.get(value)
+            if echoers is None:
+                echoers = mini.echoes[value] = set()
+            echoers.add(message.sender)
+            if len(echoers) >= self.ctx.quorum:
+                self._send_ready(mini, round_number, phase, voter, value)
+        self._check_phase_completion(state, round_number, phase)
 
     def _on_vote_ready(self, state: _RoundState, round_number: int,
                        phase: int, message: ComponentMessage) -> None:
-        voter = message.payload.get("voter")
-        value = message.payload.get("value")
+        payload = message.payload
+        voter = payload.get("voter")
         if voter is None:
             return
         mini = self._mini(state, phase, voter)
-        mini.readies.setdefault(value, set()).add(message.sender)
-        self._check_mini(state, round_number, phase, voter)
-
-    def _check_mini(self, state: _RoundState, round_number: int, phase: int,
-                    voter: int) -> None:
-        mini = self._mini(state, phase, voter)
-        for value, echoers in mini.echoes.items():
-            if len(echoers) >= self.ctx.quorum and not mini.ready_sent:
-                mini.ready_sent = True
-                self.send(f"p{phase}_ready", {"voter": voter, "value": value},
-                          round_number=round_number, slot=voter)
-        for value, readiers in mini.readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not mini.ready_sent:
-                mini.ready_sent = True
-                self.send(f"p{phase}_ready", {"voter": voter, "value": value},
-                          round_number=round_number, slot=voter)
-            if len(readiers) >= self.ctx.quorum and not mini.accepted:
+        if not (mini.ready_sent and mini.accepted):
+            value = payload.get("value")
+            readiers = mini.readies.get(value)
+            if readiers is None:
+                readiers = mini.readies[value] = set()
+            readiers.add(message.sender)
+            if not mini.ready_sent and len(readiers) >= self.ctx.small_quorum:
+                self._send_ready(mini, round_number, phase, voter, value)
+            if not mini.accepted and len(readiers) >= self.ctx.quorum:
                 mini.accepted = True
                 mini.accepted_value = value
+                state.accepted[phase] = state.accepted.get(phase, 0) + 1
         self._check_phase_completion(state, round_number, phase)
+
+    def _send_ready(self, mini: _MiniRbcState, round_number: int, phase: int,
+                    voter: int, value: Any) -> None:
+        mini.ready_sent = True
+        self.send(f"p{phase}_ready", {"voter": voter, "value": value},
+                  round_number=round_number, slot=voter)
 
     # ----------------------------------------------------------- round logic
     def _start_phase(self, round_number: int, phase: int) -> None:
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._round_state(round_number)
         if phase in state.started_phases:
             return
         state.started_phases.add(phase)
@@ -180,12 +212,12 @@ class BrachaAba(Component):
                   round_number=round_number, payload_bytes=1)
 
     def _phase_input(self, round_number: int, phase: int) -> Any:
-        state = self._rounds.setdefault(round_number, _RoundState())
         if phase == 1:
             return self.estimate
-        return state.my_votes.get(phase, self.estimate)
+        return self._round_state(round_number).my_votes.get(phase, self.estimate)
 
     def _accepted_votes(self, state: _RoundState, phase: int) -> dict[int, Any]:
+        # mini-creation order: it breaks a phase-1 majority tie
         return {voter: mini.accepted_value
                 for (mini_phase, voter), mini in state.mini.items()
                 if mini_phase == phase and mini.accepted}
@@ -196,13 +228,11 @@ class BrachaAba(Component):
             return
         if phase not in state.started_phases or phase in state.completed_phases:
             return
-        accepted = self._accepted_votes(state, phase)
-        needed = self.ctx.num_nodes - self.ctx.faults
-        if len(accepted) < needed:
+        if state.accepted.get(phase, 0) < self.ctx.num_nodes - self.ctx.faults:
             return
         state.completed_phases.add(phase)
         counts: dict[Any, int] = {}
-        for value in accepted.values():
+        for value in self._accepted_votes(state, phase).values():
             counts[value] = counts.get(value, 0) + 1
         if phase == 1:
             majority_value = max(counts, key=counts.get)
@@ -255,7 +285,7 @@ class BrachaAba(Component):
         # round; dirty-only packet building keeps them off the air otherwise.
         self._start_phase(next_round, 1)
         # Re-examine any votes that arrived for this round before we entered it.
-        state = self._rounds.setdefault(next_round, _RoundState())
+        state = self._round_state(next_round)
         for phase in (1, 2, 3):
             self._check_phase_completion(state, next_round, phase)
 

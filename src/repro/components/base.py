@@ -123,6 +123,8 @@ class ComponentRouter:
         self._components: dict[tuple, Component] = {}
         self._pending: dict[tuple, list[ComponentMessage]] = defaultdict(list)
         self._extra_handlers: dict[tuple, Callable[[ComponentMessage], None]] = {}
+        #: kinds that ever had an extra handler; other kinds skip the probe
+        self._handler_kinds: set[str] = set()
         #: scope roots reclaimed by release_tag; late messages for them are
         #: dropped instead of buffered (one tiny tuple per released epoch)
         self._released: set = set()
@@ -145,6 +147,7 @@ class ComponentRouter:
         """Register a handler for a (kind, tag) pair (e.g. the common-coin
         manager, which serves every instance of its protocol scope)."""
         self._extra_handlers[(kind, tag)] = handler
+        self._handler_kinds.add(kind)
 
     def get(self, kind: str, tag: Any, instance: int) -> Optional[Component]:
         """Look up a registered component instance."""
@@ -157,11 +160,12 @@ class ComponentRouter:
     # --------------------------------------------------------------- dispatch
     def dispatch(self, message: ComponentMessage) -> None:
         """Deliver a message to its component (or buffer it until it exists)."""
-        handler = self._extra_handlers.get((message.kind, message.tag))
-        if handler is not None:
-            handler(message)
-            return
-        key = self._key(message.kind, message.tag, message.instance)
+        if message.kind in self._handler_kinds:
+            handler = self._extra_handlers.get((message.kind, message.tag))
+            if handler is not None:
+                handler(message)
+                return
+        key = (message.kind, message.tag, message.instance)
         component = self._components.get(key)
         if component is None:
             # A message for a released (checkpointed) scope is stale by

@@ -119,6 +119,9 @@ class BaseTransport:
         #: scope roots reclaimed by release_tag (late-arrival bookkeeping of
         #: a released scope is skipped instead of re-created)
         self._released_tags: set = set()
+        #: tag -> whether it falls in a released scope; cleared (in place)
+        #: by release_tag, since a new root can release a cached tag
+        self._released_verdict: dict[Any, bool] = {}
         self._last_rx_time = 0.0
         self._packets_received = 0
         self.nack_requests_sent = 0
@@ -169,6 +172,7 @@ class BaseTransport:
         flight at release time cannot re-create per-family bookkeeping.
         """
         self._released_tags.add(root)
+        self._released_verdict.clear()
         for slots in (self._active, self._complete):
             for key in [key for key in slots if tag_in_scope(key[1], root)]:
                 slots.discard(key)
@@ -191,7 +195,8 @@ class BaseTransport:
     # ---------------------------------------------------------------- receive
     def handle_frame(self, sender: int, payload: Any) -> None:
         """Entry point bound as the node's protocol stack."""
-        self._last_rx_time = self.node.sim.now
+        now = self.node.sim.now
+        self._last_rx_time = now
         self._packets_received += 1
         if not isinstance(payload, Packet):
             return
@@ -199,18 +204,25 @@ class BaseTransport:
             digest = self._packet_digest(payload)
             if not self.suite.verify(payload.sender, digest, payload.signature):
                 return
+        released_verdict = self._released_verdict
+        delivered = 0
         for message in payload.messages:
-            if message.kind == self.NACK_KIND:
+            kind, tag = message.kind, message.tag
+            if kind == self.NACK_KIND:
                 self._on_nack_request(message)
                 continue
-            if not self._released_tags or not any(
-                    root in self._released_tags
-                    for root in tag_scope_chain(message.tag)):
-                self._family_last_rx[(message.kind, message.tag)] = \
-                    self.node.sim.now
-            self.trace.record_logical_receive(self.node.node_id)
+            released = released_verdict.get(tag)
+            if released is None:
+                released = any(root in self._released_tags
+                               for root in tag_scope_chain(tag))
+                released_verdict[tag] = released
+            if not released:
+                self._family_last_rx[(kind, tag)] = now
+            delivered += 1
             if self._receiver is not None:
                 self._receiver(message)
+        if delivered:
+            self.trace.record_logical_receive(self.node.node_id, delivered)
 
     # --------------------------------------------------------------- signing
     @staticmethod

@@ -12,7 +12,7 @@ charged by :mod:`repro.crypto.timing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto.group import DEFAULT_GROUP, Group
 
@@ -83,6 +83,13 @@ class SigningKey:
                          public_element=self.group.power_of_g(self.secret),
                          owner=self.owner)
 
+    @cached_property
+    def _public_bytes(self) -> bytes:
+        # derived once per key; cached_property writes the instance __dict__
+        # directly, so it works on a frozen dataclass and stays out of
+        # __eq__ / __hash__
+        return self.group.element_to_bytes(self.group.power_of_g(self.secret))
+
     def sign(self, message: bytes, rng) -> Signature:
         """Produce a Schnorr signature on ``message``."""
         group = self.group
@@ -91,7 +98,7 @@ class SigningKey:
         challenge = group.hash_to_scalar(
             b"schnorr",
             group.element_to_bytes(commitment),
-            group.element_to_bytes(group.power_of_g(self.secret)),
+            self._public_bytes,
             message,
         )
         response = (nonce + challenge * self.secret) % group.q

@@ -1,9 +1,11 @@
 """Tests for per-node digital signatures (micro-ecc stand-in)."""
 
+import hashlib
 import random
 
 from repro.crypto.digital_sig import (
     Signature,
+    SigningKey,
     generate_keypair,
     generate_keyring,
 )
@@ -75,3 +77,25 @@ class TestDigitalSignatures:
         assert sig1 != sig2
         assert vk.verify(b"same message", sig1)
         assert vk.verify(b"same message", sig2)
+
+    def test_signatures_byte_identical_under_seeded_rng(self):
+        # The public-key bytes hashed into each challenge are derived once
+        # per key; the signatures must not change because of it.  Recorded
+        # when every signature still recomputed g^sk.
+        rng = random.Random(2024)
+        signing, _verifying = generate_keyring(3, rng)
+        transcript = hashlib.sha256()
+        for sk in signing:
+            for message in (b"", b"packet", b"packet"):
+                sig = sk.sign(message, rng)
+                transcript.update(sk.group.element_to_bytes(sig.commitment))
+                transcript.update(sk.group.scalar_to_bytes(sig.response))
+        assert transcript.hexdigest() == (
+            "99c8df18db02d1d3a23cecce11652191d38239f950018c854553327dbaa4b889")
+
+    def test_derived_public_bytes_stay_out_of_equality(self):
+        rng = random.Random(10)
+        sk, vk = generate_keypair(rng)
+        fresh = SigningKey(group=sk.group, secret=sk.secret, owner=sk.owner)
+        assert vk.verify(b"m", sk.sign(b"m", rng))  # caches sk's key bytes
+        assert sk == fresh and hash(sk) == hash(fresh)
