@@ -50,6 +50,7 @@ from bench_shard_scale import (  # noqa: E402
 from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
+from repro.crypto.digital_sig import generate_keyring  # noqa: E402
 from repro.crypto.group import (  # noqa: E402
     DEFAULT_GROUP,
     verify_dlog_equality_reference,
@@ -183,6 +184,51 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
         "share_verify_single": _rate_prepared(make_batch, verify_single, budget),
         "share_verify_batch": _rate_prepared(make_batch, verify_batch, budget),
         "share_combine": _rate_prepared(make_batch, combine, budget),
+    }
+
+
+# ----------------------------------------------------------- packet signatures
+def bench_schnorr_verify(budget: float) -> dict[str, float]:
+    """Per-frame Schnorr verification over ``NUM_PARTIES`` long-lived keys.
+
+    Every timed batch is freshly signed, so the process-wide verdict memo
+    never hits; the keys' comb tables are built off the clock, as in a
+    deployment that has already verified a few frames per key.
+    """
+    rng = random.Random(4004)
+    signing_keys, verify_keys = generate_keyring(NUM_PARTIES, rng)
+    counter = [0]
+
+    def make_batch() -> list:
+        counter[0] += 1
+        message = b"hotpath-frame-%d" % counter[0]
+        return [(verify_key, message, signing_key.sign(message, rng))
+                for signing_key, verify_key in zip(signing_keys, verify_keys)]
+
+    def verify_seed(batch: list) -> int:
+        # Seed-equivalent verification: a pow-based membership test on the
+        # commitment, and g^z and pk^c as full pow() calls.
+        for verify_key, message, signature in batch:
+            group = verify_key.group
+            commitment = signature.commitment
+            assert group.is_member_reference(commitment)
+            challenge = group.hash_to_scalar(
+                b"schnorr", group.element_to_bytes(commitment),
+                group.element_to_bytes(verify_key.public_element), message)
+            assert group.power_of_g_reference(signature.response) == \
+                group.mul(commitment,
+                          group.exp(verify_key.public_element, challenge))
+        return len(batch)
+
+    def verify(batch: list) -> int:
+        for verify_key, message, signature in batch:
+            assert verify_key.verify(message, signature)
+        return len(batch)
+
+    verify(make_batch())  # build every key's table off the clock
+    return {
+        "schnorr_verify_seed": _rate_prepared(make_batch, verify_seed, budget),
+        "schnorr_verify": _rate_prepared(make_batch, verify, budget),
     }
 
 
@@ -351,8 +397,8 @@ def run_benchmarks(quick: bool = False) -> dict:
     # trajectory never depends on what happens to be installed; the native
     # section then re-measures its hot paths under the best available tier.
     with crypto_backend.use("pure"):
-        for section in (bench_group_exp, bench_threshold_shares, bench_erasure,
-                        bench_simulator, bench_dealer, bench_streaming,
+        for section in (bench_group_exp, bench_threshold_shares,
+                        bench_schnorr_verify, bench_erasure, bench_simulator, bench_dealer, bench_streaming,
                         bench_ingress, bench_scenario, bench_shard):
             results.update(section(budget))
     results.update(bench_native_backend(budget))
@@ -367,6 +413,8 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["share_verify_batch"] / results["share_verify_single"],
         "share_verify_single_vs_seed":
             results["share_verify_single"] / results["share_verify_seed"],
+        "schnorr_verify_vs_seed":
+            results["schnorr_verify"] / results["schnorr_verify_seed"],
         "erasure_decode_vs_seed":
             results["erasure_decode_k32"] / results["erasure_decode_seed_k32"],
         "sim_events_vs_seed":

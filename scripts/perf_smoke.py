@@ -7,6 +7,8 @@ Two modes with distinct gates:
 with short budgets and checks *same-run ratio invariants* only:
 
 * batched share verification >= 3x the seed per-share path (n=16/t=5);
+* per-frame Schnorr verification >= 2x the seed verifier (fresh
+  transcripts, so the verdict memo never hits);
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
 * with a native backend tier available, the native share combine >= 3x and
@@ -70,6 +72,7 @@ GATED_METRICS = (
     "share_verify_batch",
     "share_combine",
     "share_combine_native",
+    "schnorr_verify",
     "erasure_encode_k32",
     "erasure_decode_k32",
     "erasure_decode_native_k32",
@@ -85,6 +88,7 @@ MAX_REGRESSION = 2.0
 
 # Same-run ratio invariants (both modes, baseline-independent).
 MIN_BATCH_VS_SEED = 3.0
+MIN_SCHNORR_VS_SEED = 2.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 MIN_COMBINE_NATIVE_VS_PURE = 3.0
@@ -121,6 +125,11 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"batched share verification only "
             f"{speedups['share_verify_batch_vs_seed']:.2f}x the seed per-share "
             f"path (need >= {MIN_BATCH_VS_SEED}x)")
+    if speedups["schnorr_verify_vs_seed"] < MIN_SCHNORR_VS_SEED:
+        failures.append(
+            f"Schnorr verification only "
+            f"{speedups['schnorr_verify_vs_seed']:.2f}x the seed verifier "
+            f"(need >= {MIN_SCHNORR_VS_SEED}x)")
     if speedups["erasure_decode_vs_seed"] < MIN_DECODE_VS_SEED:
         failures.append(
             f"erasure decode only {speedups['erasure_decode_vs_seed']:.2f}x "

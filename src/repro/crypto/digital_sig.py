@@ -56,7 +56,16 @@ def _verify_schnorr_cached(p: int, q: int, g: int, public_element: int,
                            message: bytes, commitment: int,
                            response: int) -> bool:
     group = Group(p=p, q=q, g=g)
-    if not group.is_member(commitment):
+    key_is_member = group.is_member(public_element) and group.is_member(g)
+    # With pk and g in the subgroup, a commitment that satisfies
+    # g^z == R * pk^c equals g^z * pk^-c and is a member too, so the range
+    # check (R a unit with a canonical encoding) gives the same verdict as
+    # is_member(R).  A non-member key keeps the exact membership test:
+    # R = -R0 with pk = -pk0 satisfies the bare equation whenever c is odd.
+    if key_is_member:
+        if not 1 <= commitment < p:
+            return False
+    elif not group.is_member(commitment):
         return False
     challenge = group.hash_to_scalar(
         b"schnorr",
@@ -65,8 +74,11 @@ def _verify_schnorr_cached(p: int, q: int, g: int, public_element: int,
         message,
     )
     lhs = group.power_of_g(response)
-    rhs = group.mul(commitment, group.exp(public_element, challenge))
-    return lhs == rhs
+    if key_is_member:
+        key_power = group.exp_public_key(public_element, challenge)
+    else:
+        key_power = group.exp(public_element, challenge)
+    return lhs == group.mul(commitment, key_power)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,88 @@
 import hashlib
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto import backend
 from repro.crypto.digital_sig import (
     Signature,
     SigningKey,
+    VerifyKey,
+    _verify_schnorr_cached,
     generate_keypair,
     generate_keyring,
 )
+from repro.crypto.group import DEFAULT_GROUP
+
+
+def seed_verify_schnorr(group, public_element, message, signature):
+    """The seed verifier: an exact membership test on the commitment and
+    three full ``pow()`` calls, with no cache and no fast path."""
+    commitment = signature.commitment
+    if not group.is_member_reference(commitment):
+        return False
+    challenge = group.hash_to_scalar(
+        b"schnorr",
+        group.element_to_bytes(commitment),
+        group.element_to_bytes(public_element),
+        message,
+    )
+    lhs = pow(group.g, signature.response % group.q, group.p)
+    rhs = commitment * pow(public_element, challenge % group.q, group.p) \
+        % group.p
+    return lhs == rhs
+
+
+def sign_for_negated_key(signing_key, message, rng):
+    """A signature under the non-member key ``p - pk`` with commitment
+    ``p - R``: ``(-R) * (-pk)^c == R * pk^c == g^z`` whenever the challenge
+    ``c`` is odd, so it passes the bare verification equation.
+
+    Returns ``(negated key, signature, challenge)``.
+    """
+    group = signing_key.group
+    key = group.p - group.power_of_g(signing_key.secret)
+    nonce = group.random_scalar(rng)
+    commitment = group.p - group.power_of_g(nonce)
+    challenge = group.hash_to_scalar(
+        b"schnorr", group.element_to_bytes(commitment),
+        group.element_to_bytes(key), message)
+    response = (nonce + challenge * signing_key.secret) % group.q
+    return key, Signature(commitment=commitment, response=response), challenge
+
+
+TAMPERS = ("valid", "message", "key", "z+1", "z+q", "R=0", "R+p", "p-R",
+           "negated-key")
+
+
+def tampered_transcript(seed, tamper):
+    """``(public element, message, signature)`` for one tamper kind."""
+    rng = random.Random(seed)
+    group = DEFAULT_GROUP
+    signing_key, verify_key = generate_keypair(rng, group=group)
+    message = b"frame-%d" % seed
+    key = verify_key.public_element
+    if tamper == "negated-key":
+        key, signature, _ = sign_for_negated_key(signing_key, message, rng)
+        return key, message, signature
+    signature = signing_key.sign(message, rng)
+    commitment, response = signature.commitment, signature.response
+    if tamper == "message":
+        message += b"!"
+    elif tamper == "key":
+        key = generate_keypair(rng, group=group)[1].public_element
+    elif tamper == "z+1":
+        response += 1
+    elif tamper == "z+q":
+        response += group.q
+    elif tamper == "R=0":
+        commitment = 0
+    elif tamper == "R+p":
+        commitment += group.p
+    elif tamper == "p-R":
+        commitment = group.p - commitment
+    return key, message, Signature(commitment=commitment, response=response)
 
 
 class TestDigitalSignatures:
@@ -43,8 +119,16 @@ class TestDigitalSignatures:
         rng = random.Random(5)
         sk, vk = generate_keypair(rng)
         signature = sk.sign(b"message", rng)
-        forged = Signature(commitment=0, response=signature.response)
-        assert not vk.verify(b"message", forged)
+        group = vk.group
+        # 0 fails the range check; p - R is in range but a non-residue, so
+        # only a membership argument can reject it.
+        in_range_non_member = group.p - signature.commitment
+        assert 1 <= in_range_non_member < group.p
+        assert not group.is_member_reference(in_range_non_member)
+        for commitment in (0, in_range_non_member):
+            forged = Signature(commitment=commitment,
+                               response=signature.response)
+            assert not vk.verify(b"message", forged)
 
     def test_verify_key_derivation_consistent(self):
         rng = random.Random(6)
@@ -99,3 +183,55 @@ class TestDigitalSignatures:
         fresh = SigningKey(group=sk.group, secret=sk.secret, owner=sk.owner)
         assert vk.verify(b"m", sk.sign(b"m", rng))  # caches sk's key bytes
         assert sk == fresh and hash(sk) == hash(fresh)
+
+
+class TestSchnorrVerdictIdentity:
+    """The verifier's fast path (comb table for the key, range check on the
+    commitment) must return the seed verifier's verdict on every input."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           tamper=st.sampled_from(TAMPERS))
+    @settings(max_examples=90, deadline=None)
+    def test_matches_seed_verifier(self, seed, tamper):
+        group = DEFAULT_GROUP
+        key, message, signature = tampered_transcript(seed, tamper)
+        expected = seed_verify_schnorr(group, key, message, signature)
+        if tamper in ("valid", "z+q"):
+            assert expected
+        elif tamper != "negated-key":
+            assert not expected
+        verify_key = VerifyKey(group=group, public_element=key)
+        assert verify_key.verify(message, signature) == expected
+        # the memoised entry point answers from its cache on a repeat, so
+        # both tiers are driven through the uncached body as well
+        for mode in ("pure", "auto"):
+            with backend.use(mode):
+                assert _verify_schnorr_cached.__wrapped__(
+                    group.p, group.q, group.g, key, message,
+                    signature.commitment, signature.response) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negated_key_rejected_when_bare_equation_holds(self, seed):
+        # Pins why the range-check fast path is gated on key membership:
+        # for a non-member key, a non-member commitment can satisfy
+        # g^z == R * pk^c, and only the exact membership test on R
+        # rejects the pair.
+        group = DEFAULT_GROUP
+        rng = random.Random(seed)
+        signing_key, _ = generate_keypair(rng, group=group)
+        while True:
+            key, signature, challenge = sign_for_negated_key(
+                signing_key, b"frame", rng)
+            if challenge % 2:
+                break
+        assert not group.is_member_reference(key)
+        assert group.power_of_g(signature.response) == \
+            signature.commitment * pow(key, challenge, group.p) % group.p
+        assert not seed_verify_schnorr(group, key, b"frame", signature)
+        for mode in ("pure", "auto"):
+            with backend.use(mode):
+                assert not VerifyKey(group=group, public_element=key).verify(
+                    b"frame", signature)
+                assert not _verify_schnorr_cached.__wrapped__(
+                    group.p, group.q, group.g, key, b"frame",
+                    signature.commitment, signature.response)

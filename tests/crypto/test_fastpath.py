@@ -11,7 +11,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import backend
 from repro.crypto.fastpath import (
+    CombTable,
     FixedBaseTable,
     derive_batch_randomizers,
     jacobi,
@@ -22,7 +24,7 @@ from repro.crypto.field import (
     lagrange_coefficients_at_zero,
     lagrange_coefficients_at_zero_reference,
 )
-from repro.crypto.group import DEFAULT_GROUP
+from repro.crypto.group import DEFAULT_GROUP, Group
 from repro.crypto.threshold_sig import deal_threshold_sig
 
 
@@ -44,6 +46,72 @@ class TestFixedBaseTable:
         table = FixedBaseTable(2, 23, 11)
         for exponent in range(25):
             assert table.pow(exponent) == pow(2, exponent % 11, 23)
+
+
+# Toy safe-prime groups (p, q, g) whose orders are 2, 4, 8 and 10 bits long:
+# under one byte, exactly one byte, and not a multiple of 8 bits.
+TOY_GROUPS = ((5, 2, 4), (23, 11, 2), (479, 239, 4), (2039, 1019, 4))
+
+
+class TestCombTable:
+    EDGE_EXPONENTS = (0, 1, 2, DEFAULT_GROUP.q - 1, DEFAULT_GROUP.q,
+                      DEFAULT_GROUP.q + 1, 2 * DEFAULT_GROUP.q + 5, 123456789)
+
+    def _member_base(self, seed):
+        return DEFAULT_GROUP.power_of_g(random.Random(seed).randrange(
+            1, DEFAULT_GROUP.q))
+
+    def test_edge_exponents_match_pow(self):
+        group = DEFAULT_GROUP
+        for base in (self._member_base(1), group.g):
+            table = CombTable(base, group.p, group.q)
+            for exponent in self.EDGE_EXPONENTS:
+                assert table.pow(exponent) == pow(base, exponent, group.p)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           exponent=st.integers(min_value=0, max_value=2**300))
+    @settings(max_examples=60, deadline=None)
+    def test_random_exponents_match_pow(self, seed, exponent):
+        group = DEFAULT_GROUP
+        base = self._member_base(seed)
+        assert CombTable(base, group.p, group.q).pow(exponent) == \
+            pow(base, exponent, group.p)
+
+    def test_base_one(self):
+        group = DEFAULT_GROUP
+        table = CombTable(1, group.p, group.q)
+        assert all(table.pow(exponent) == 1
+                   for exponent in self.EDGE_EXPONENTS)
+
+    def test_toy_groups_match_pow(self):
+        # Bases across all of Z_p^*, members and non-members alike: the
+        # exponent is reduced mod the order first, exactly like Group.exp.
+        for p, q, _g in TOY_GROUPS:
+            for base in range(1, p, max(1, p // 60)):
+                table = CombTable(base, p, q)
+                for exponent in range(3 * q + 3):
+                    assert table.pow(exponent) == pow(base, exponent % q, p)
+
+    def test_table_has_256_entries(self):
+        group = DEFAULT_GROUP
+        table = CombTable(self._member_base(2), group.p, group.q)
+        assert len(table._table) == 256
+        for p, q, g in TOY_GROUPS:
+            assert len(CombTable(g, p, q)._table) == 256
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           exponent=st.integers(min_value=0, max_value=2**300))
+    @settings(max_examples=30, deadline=None)
+    def test_exp_public_key_matches_exp_on_both_tiers(self, seed, exponent):
+        group = DEFAULT_GROUP
+        key = self._member_base(seed)
+        expected = pow(key, exponent % group.q, group.p)
+        for mode in ("pure", "auto"):
+            with backend.use(mode):
+                assert group.exp_public_key(key, exponent) == expected
+        for p, q, g in TOY_GROUPS:
+            toy = Group(p=p, q=q, g=g)
+            assert toy.exp_public_key(g, exponent) == pow(g, exponent % q, p)
 
 
 class TestMembership:
