@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.net.channel import (
@@ -57,7 +57,7 @@ from repro.net.channel import (
     encode_boundary_frame,
 )
 from repro.net.csma import CsmaMac
-from repro.net.sim import ShardedSimulator, SimulationError, Simulator
+from repro.net.sim import Simulator
 
 
 class ShardSyncError(RuntimeError):
@@ -348,27 +348,20 @@ def _route(emissions: Sequence[Emission], shard: int) -> list[Emission]:
 
 @dataclass
 class _InProcessPool:
-    """Drives every shard in this process (``workers <= 1``).
+    """Drives every shard in this process (``workers == 1``).
 
-    Emissions still round-trip through the boundary codec (encode at
-    transmit, decode at injection), so a one-worker run is bit-identical to
-    any multi-worker run by construction, not by luck.
+    Each runner steps exactly as a forked worker steps it.  Emissions still
+    round-trip through the boundary codec (encode at transmit, decode at
+    injection), so a one-worker run is bit-identical to any multi-worker run
+    by construction, not by luck.
     """
 
     runners: list[ShardRunner]
-    sharded_sim: ShardedSimulator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.sharded_sim = ShardedSimulator([r.sim for r in self.runners])
 
     def step(self, until: float,
              ghosts: dict[int, list[Emission]]) -> list[WindowResult]:
-        for runner in self.runners:
-            runner.inject(ghosts.get(runner.shard_index, ()))
-        processed = self.sharded_sim.run_window(
-            until, polls=[runner.poll for runner in self.runners])
-        return [runner.collect(count)
-                for runner, count in zip(self.runners, processed)]
+        return [runner.step(until, ghosts.get(runner.shard_index, ()))
+                for runner in self.runners]
 
     def finish(self) -> list[Any]:
         return [runner.finish() for runner in self.runners]
@@ -502,7 +495,9 @@ def run_conservative(factory: Callable[[int], ShardRunner], num_shards: int,
     """
     if num_shards < 1:
         raise ShardSyncError("need at least one shard")
-    workers = max(1, min(workers, num_shards))
+    if workers < 1:
+        raise ShardSyncError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, num_shards)
     if workers > 1 and not fork_available():  # pragma: no cover - linux CI
         workers = 1
     if workers > 1:

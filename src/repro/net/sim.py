@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 # Compact the heap once at least this many cancelled events are queued AND
 # they outnumber the live ones (amortised O(1) per cancellation).
@@ -288,59 +288,6 @@ class Simulator:
                 continue
             return when
         return None
-
-
-class ShardedSimulator:
-    """Facade advancing several per-shard :class:`Simulator`s in lockstep.
-
-    Each member simulator owns its own event heap, sequence counter and RNG
-    stream; the facade advances all of them window by window under a common
-    horizon (classic conservative synchronization).  It deliberately knows
-    nothing about *how* horizons are chosen or what crosses shard boundaries
-    -- that is :mod:`repro.net.shard` -- it only guarantees the lockstep
-    discipline and aggregates the bookkeeping the single-simulator API
-    exposes (``now``, ``events_processed``, ``pending_events``).
-    """
-
-    def __init__(self, shards: Sequence["Simulator"]) -> None:
-        if not shards:
-            raise SimulationError("a sharded simulator needs at least one shard")
-        self.shards = list(shards)
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """The last barrier horizon every shard has reached."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Total callbacks executed across all shards."""
-        return sum(shard.events_processed for shard in self.shards)
-
-    def pending_events(self) -> int:
-        """Total queued events across all shards."""
-        return sum(shard.pending_events() for shard in self.shards)
-
-    def run_window(self, until: float,
-                   polls: Optional[Sequence[Optional[Callable[[], None]]]] = None
-                   ) -> list[int]:
-        """Advance every shard to ``until``; returns per-shard event counts.
-
-        ``until`` must not move backwards (shards have already executed up to
-        the previous horizon).  ``polls`` optionally supplies one per-event
-        poll callback per shard (see :meth:`Simulator.run_window`).
-        """
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run a window back to {until}; shards are already "
-                f"synchronized at {self._now}")
-        if polls is None:
-            polls = [None] * len(self.shards)
-        processed = [shard.run_window(until, poll=poll)
-                     for shard, poll in zip(self.shards, polls)]
-        self._now = until
-        return processed
 
 
 class Timer:

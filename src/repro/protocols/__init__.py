@@ -30,7 +30,6 @@ from repro.protocols.acs import CommonSubset
 from repro.protocols.honeybadger import HoneyBadger
 from repro.protocols.beat import Beat
 from repro.protocols.dumbo import Dumbo
-from repro.protocols.multihop import MultiHopResult
 
 __all__ = [
     "ConsensusConfig",
@@ -43,5 +42,4 @@ __all__ = [
     "HoneyBadger",
     "Beat",
     "Dumbo",
-    "MultiHopResult",
 ]

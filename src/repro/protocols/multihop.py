@@ -12,7 +12,7 @@ every cluster member knows the locally decided block.
 The networking (per-cluster channels + a routed backbone channel for the
 leaders) is assembled by the testbed harness; this module holds the
 protocol-level pieces: leader selection, encoding of a cluster's contribution
-to the global consensus and the combined result record.
+to the global consensus and the per-cluster outcome record.
 """
 
 from __future__ import annotations
@@ -137,23 +137,3 @@ class ClusterOutcome:
     def digest(self) -> str:
         """Canonical digest of the cluster's block."""
         return block_digest(self.block)
-
-
-@dataclass
-class MultiHopResult:
-    """Combined result of a multi-hop consensus run."""
-
-    local: dict[int, ClusterOutcome] = field(default_factory=dict)
-    global_block: list[bytes] = field(default_factory=list)
-    global_decide_time: Optional[float] = None
-    ordered_clusters: list[int] = field(default_factory=list)
-
-    @property
-    def decided(self) -> bool:
-        """True once the global consensus has decided."""
-        return self.global_decide_time is not None
-
-    @property
-    def total_transactions(self) -> int:
-        """Transactions committed by the global consensus."""
-        return len(self.global_block)

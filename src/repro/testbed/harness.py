@@ -22,13 +22,21 @@ The single-epoch machinery (:func:`install_epoch_protocols`,
 :func:`propose_epoch`) is shared between the one-epoch entry points and the
 streaming runner, which replays it once per epoch on one long-lived
 deployment.
+
+:func:`build_deployment` is the only deployment builder: it also builds
+one shard's slice for the sharded engine (:mod:`repro.testbed.sharding`),
+and :func:`bind_member` wires every member's stack, including the
+committees a membership reconfiguration rebuilds.  The multi-hop epoch
+(:class:`MultiHopEpoch`, :func:`multihop_result`) is likewise shared by
+the classic and the sharded run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.components.aba_bracha import BrachaAba
 from repro.components.aba_cachin import CachinAba
@@ -53,6 +61,7 @@ from repro.net.channel import WirelessChannel
 from repro.net.csma import CsmaMac
 from repro.net.node import NetworkNode
 from repro.net.routing import InterClusterRouting
+from repro.net.shard import ShardBackboneChannel, ShardCsmaMac
 from repro.net.sim import Simulator
 from repro.net.topology import Cluster
 from repro.net.trace import NetworkTrace
@@ -60,7 +69,12 @@ from repro.protocols.base import ConsensusConfig, ConsensusProtocol, ProtocolNam
 from repro.protocols.beat import Beat
 from repro.protocols.dumbo import Dumbo
 from repro.protocols.honeybadger import HoneyBadger
-from repro.protocols.multihop import ClusterOutcome, LeaderSchedule, MultiHopResult
+from repro.protocols.multihop import (
+    ClusterOutcome,
+    LeaderSchedule,
+    decode_cluster_contribution,
+    encode_cluster_contribution,
+)
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -146,7 +160,8 @@ class DomainRuntime:
 
 @dataclass
 class Deployment:
-    """A fully assembled single-hop or multi-hop deployment."""
+    """A fully assembled single-hop or multi-hop deployment, or one shard's
+    slice of a multi-hop one (see :func:`build_deployment`)."""
 
     scenario: Scenario
     sim: Simulator
@@ -178,29 +193,78 @@ class Deployment:
             runtime.transport.shutdown()
 
 
-def _make_transport(batched: bool, node: NetworkNode, num_nodes: int,
-                    suite: CryptoSuite, trace: NetworkTrace,
-                    config: TransportConfig, local_id: int) -> BaseTransport:
-    transport_class = ConsensusBatcherTransport if batched else BaselineTransport
-    return transport_class(node, num_nodes, suite, trace, config,
-                           local_id=local_id)
+def bind_member(deployment: Deployment, node: NetworkNode, domain: CryptoDomain,
+                local_id: int, crypto_rng: random.Random,
+                component_rng: random.Random,
+                transport_config: TransportConfig,
+                channels: Sequence[Optional[str]],
+                batch_session: Optional[BatchVerifySession] = None
+                ) -> DomainRuntime:
+    """Wire one domain member's dealt keys into its protocol stack.
+
+    Builds the member's :class:`CryptoSuite`, its transport (batched or
+    baseline, per the deployment), the :class:`ComponentRouter` that receives
+    from it and the :class:`ComponentContext` protocols run on.  The
+    transport is bound on ``node`` as the stack of every channel in
+    ``channels`` (``None`` binds the node's default stack).  Every stack in a
+    deployment -- cluster members, backbone leaders and a reconfigured
+    committee -- is built here; callers differ only in the RNG streams and
+    the binding they pass.
+    """
+    scenario = deployment.scenario
+    suite = CryptoSuite(
+        node_id=local_id,
+        signing_key=domain.signing_keys[local_id],
+        verify_keys=domain.verify_keys,
+        threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
+        threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
+        coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
+        threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
+        ec_curve=scenario.ec_curve,
+        threshold_curve=scenario.threshold_curve,
+        rng=crypto_rng,
+        cost_sink=node.charge_cpu,
+        cost_scale=scenario.crypto_cost_scale,
+        batch_session=batch_session,
+    )
+    transport_class = ConsensusBatcherTransport if deployment.batched \
+        else BaselineTransport
+    transport = transport_class(node, domain.num_nodes, suite, deployment.trace,
+                                transport_config, local_id=local_id)
+    router = ComponentRouter()
+    transport.register_receiver(router.dispatch)
+    for channel in channels:
+        node.bind_stack(transport, channel=channel)
+    ctx = ComponentContext(
+        node_id=local_id, num_nodes=domain.num_nodes, faults=domain.faults,
+        transport=transport, suite=suite, sim=deployment.sim, rng=component_rng)
+    return DomainRuntime(local_id=local_id, ctx=ctx, transport=transport,
+                         router=router)
 
 
 def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
-    """Apply strategies that act at the network level (crash, delays, loss)."""
+    """Apply strategies that act at the network level (crash, delays, loss).
+
+    Crashes act on the node object, so only where the node is built.  Slow
+    and lossy links act at delivery time in the *receiving* adversary, so
+    they are registered for every node of the topology: a shard slice then
+    delays or drops frames from a byzantine sender that another shard hosts.
+    """
     scenario = deployment.scenario
     spec = scenario.byzantine
+    topology_ids = [node_id for cluster in scenario.topology.clusters
+                    for node_id in cluster.node_ids]
     for node_id, strategy in spec.assignments.items():
         node = deployment.nodes.get(node_id)
-        if node is None:
-            continue
-        if strategy == "crash":
+        if strategy == "crash" and node is not None:
             node.crash()
-        elif strategy == "late-crash":
+        elif strategy == "late-crash" and node is not None:
             deployment.sim.schedule(spec.late_crash_at_s, node.crash,
                                     label=f"late-crash:{node_id}")
+        elif node_id not in topology_ids:
+            continue
         elif strategy == "slow-links":
-            for other_id in deployment.nodes:
+            for other_id in topology_ids:
                 if other_id != node_id:
                     deployment.adversary.target_link(node_id, other_id,
                                                      spec.slow_link_delay_s)
@@ -217,7 +281,9 @@ def build_deployment(scenario: Scenario, batched: bool = True,
                      crypto_schemes: Sequence[str] = ALL_SCHEMES,
                      global_crypto_schemes: Optional[Sequence[str]] = None,
                      dealer_cache: Optional[DealerCache] = None,
-                     batch_session: Optional[BatchVerifySession] = None) -> Deployment:
+                     batch_session: Optional[BatchVerifySession] = None,
+                     shard: Optional[tuple[int, Sequence[int]]] = None
+                     ) -> Deployment:
     """Assemble nodes, channels, crypto and transports for a scenario.
 
     ``crypto_schemes`` limits which threshold schemes the per-cluster domains
@@ -230,36 +296,59 @@ def build_deployment(scenario: Scenario, batched: bool = True,
     streaming stream) is shared by every node's :class:`CryptoSuite` so
     batch-verification work repeated across simulated nodes and epochs is
     memoised -- wall clock only, never modelled cost or results.
+
+    ``shard`` -- ``(shard_index, cluster_indices)`` of a multi-hop scenario
+    -- builds one shard's slice for the sharded engine
+    (:mod:`repro.testbed.sharding`): the simulator is seeded from
+    ``stable_seed(seed, "shard", shard_index)``, only the listed clusters are
+    built, and the backbone is a :class:`~repro.net.shard.ShardBackboneChannel`
+    mirror on which only the local leaders attach (shard-aware) MACs.  Every
+    other stream keeps its classic ``stable_seed`` label, so a node is wired
+    identically whichever slice hosts it, and leaders, the hop table and the
+    global domain are resolved for *all* clusters in every slice.
     """
     if global_crypto_schemes is None:
         global_crypto_schemes = crypto_schemes
-    sim = Simulator(seed=seed)
+    clusters = scenario.topology.clusters
+    backbone_name = scenario.topology.global_channel_name
+    multi_hop = scenario.is_multi_hop and backbone_name is not None
+    if shard is None:
+        sim = Simulator(seed=seed)
+        local_clusters = clusters
+    else:
+        if not multi_hop:
+            raise DeploymentError(
+                "shard: a shard slice needs a multi-hop scenario (the "
+                "backbone is the only coupling between shards)")
+        shard_index, cluster_indices = shard
+        sim = Simulator(seed=stable_seed(seed, "shard", shard_index))
+        local_clusters = [clusters[index] for index in cluster_indices]
     trace = NetworkTrace()
     adversary = AsyncAdversary(
         byzantine=set(scenario.byzantine.byzantine_ids),
         delay_model=DelayModel(base_jitter_s=scenario.link_jitter_s),
         link_faults=list(scenario.link_faults),
         partitions=list(scenario.partitions))
+    deployment = Deployment(scenario=scenario, sim=sim, trace=trace,
+                            adversary=adversary, channels={}, nodes={},
+                            runtimes={}, batched=batched)
+    channels, nodes = deployment.channels, deployment.nodes
 
-    channels: dict[str, WirelessChannel] = {}
-    for cluster in scenario.topology.clusters:
+    for cluster in local_clusters:
         channels[cluster.channel_name] = WirelessChannel(
             sim, scenario.radio, trace, name=cluster.channel_name,
             adversary=adversary)
-    backbone_name = scenario.topology.global_channel_name
-    routing: Optional[InterClusterRouting] = None
-    if scenario.is_multi_hop and backbone_name is not None:
+    if multi_hop:
         routing = InterClusterRouting(scenario.topology)
-        channels[backbone_name] = WirelessChannel(
+        channel_class = WirelessChannel if shard is None \
+            else partial(ShardBackboneChannel, shard_index=shard[0])
+        backbone = channel_class(
             sim, scenario.radio, trace, name=backbone_name, adversary=adversary,
             per_hop_forward_s=scenario.per_hop_forward_s)
-
-    nodes: dict[int, NetworkNode] = {}
-    runtimes: dict[int, DomainRuntime] = {}
-    global_runtimes: dict[int, DomainRuntime] = {}
+        channels[backbone_name] = backbone
 
     # --- per-cluster (local) domains -------------------------------------
-    for cluster in scenario.topology.clusters:
+    for cluster in local_clusters:
         domain = deal_crypto_domain(
             cluster.size, stable_seed(seed, "cluster", cluster.index),
             schemes=crypto_schemes, cache=dealer_cache)
@@ -271,101 +360,54 @@ def build_deployment(scenario: Scenario, batched: bool = True,
                           random.Random(stable_seed(seed, "mac", global_id)))
             node.add_interface("radio0", mac)
             nodes[global_id] = node
-            node_rng = random.Random(stable_seed(seed, "crypto", global_id))
             # Digital signatures are per-domain here (local ids), which is
             # consistent because frames only travel inside the cluster channel.
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=domain.signing_keys[local_id],
-                verify_keys=domain.verify_keys,
-                threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-                threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-                coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=node_rng,
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-                batch_session=batch_session,
-            )
-            transport = _make_transport(batched, node, cluster.size, suite, trace,
-                                        scenario.transport, local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            node.bind_stack(transport, channel=cluster.channel_name)
-            node.bind_stack(transport)  # default stack as well
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=cluster.size, faults=domain.faults,
-                transport=transport, suite=suite, sim=sim,
-                rng=random.Random(stable_seed(seed, "component", global_id)))
-            runtimes[global_id] = DomainRuntime(local_id=local_id, ctx=ctx,
-                                                transport=transport, router=router)
-
-    deployment = Deployment(scenario=scenario, sim=sim, trace=trace,
-                            adversary=adversary, channels=channels, nodes=nodes,
-                            runtimes=runtimes, global_runtimes=global_runtimes,
-                            batched=batched)
+            deployment.runtimes[global_id] = bind_member(
+                deployment, node, domain, local_id,
+                crypto_rng=random.Random(stable_seed(seed, "crypto", global_id)),
+                component_rng=random.Random(
+                    stable_seed(seed, "component", global_id)),
+                transport_config=scenario.transport,
+                channels=(cluster.channel_name, None),
+                batch_session=batch_session)
 
     # --- global (leader) domain for multi-hop -----------------------------
-    if scenario.is_multi_hop and backbone_name is not None:
+    if multi_hop:
         crashed = lambda node_id: \
             scenario.byzantine.assignments.get(node_id) == "crash"
-        for cluster in scenario.topology.clusters:
+        for cluster in clusters:
             schedule = LeaderSchedule(cluster)
             deployment.leader_schedules[cluster.index] = schedule
             deployment.epoch_leaders[cluster.index] = schedule.active_leader(
                 epoch=0, crashed=crashed,
                 rotate=scenario.rotate_crashed_leaders)
         leaders = [deployment.epoch_leaders[cluster.index]
-                   for cluster in scenario.topology.clusters]
+                   for cluster in clusters]
         global_domain = deal_crypto_domain(
             len(leaders), stable_seed(seed, "global"),
             schemes=global_crypto_schemes, cache=dealer_cache)
-        backbone = channels[backbone_name]
         backbone.hop_counts.update(routing.hop_table_for(leaders))
-        for local_id, leader_id in enumerate(leaders):
+        mac_class = CsmaMac if shard is None else ShardCsmaMac
+        backbone_config = replace(
+            scenario.transport,
+            interface=scenario.transport.interface or "backbone")
+        local_indices = {cluster.index for cluster in local_clusters}
+        for local_id, (cluster, leader_id) in enumerate(zip(clusters, leaders)):
+            if cluster.index not in local_indices:
+                continue
             node = nodes[leader_id]
-            mac = CsmaMac(sim, leader_id, backbone, scenario.csma, trace,
-                          random.Random(stable_seed(seed, "gmac", leader_id)))
+            mac = mac_class(sim, leader_id, backbone, scenario.csma, trace,
+                            random.Random(stable_seed(seed, "gmac", leader_id)))
             node.add_interface("backbone", mac)
-            node_rng = random.Random(stable_seed(seed, "gcrypto", leader_id))
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=global_domain.signing_keys[local_id],
-                verify_keys=global_domain.verify_keys,
-                threshold_sig=global_domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-                threshold_coin=global_domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-                coin_flip=global_domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=global_domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=node_rng,
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-                batch_session=batch_session,
-            )
-            transport_config = scenario.transport if scenario.transport.interface \
-                else TransportConfig(
-                    aggregation_window_s=scenario.transport.aggregation_window_s,
-                    resend_interval_s=scenario.transport.resend_interval_s,
-                    resend_jitter=scenario.transport.resend_jitter,
-                    stall_threshold_s=scenario.transport.stall_threshold_s,
-                    reliability=scenario.transport.reliability,
-                    sign_packets=scenario.transport.sign_packets,
-                    interface="backbone")
-            transport = _make_transport(batched, node, len(leaders), suite, trace,
-                                        transport_config, local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            node.bind_stack(transport, channel=backbone_name)
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=len(leaders),
-                faults=global_domain.faults, transport=transport, suite=suite,
-                sim=sim,
-                rng=random.Random(stable_seed(seed, "gcomponent", leader_id)))
-            global_runtimes[leader_id] = DomainRuntime(
-                local_id=local_id, ctx=ctx, transport=transport, router=router)
+            deployment.global_runtimes[leader_id] = bind_member(
+                deployment, node, global_domain, local_id,
+                crypto_rng=random.Random(
+                    stable_seed(seed, "gcrypto", leader_id)),
+                component_rng=random.Random(
+                    stable_seed(seed, "gcomponent", leader_id)),
+                transport_config=backbone_config,
+                channels=(backbone_name,),
+                batch_session=batch_session)
 
     _apply_byzantine_network_behaviour(deployment)
     return deployment
@@ -626,6 +668,194 @@ def _consensus_result(protocol: str, deployment: Deployment,
 # multi-hop consensus
 # ---------------------------------------------------------------------------
 
+def global_consensus_config(config: Optional[ConsensusConfig]) -> ConsensusConfig:
+    """The leaders' global-domain config for one epoch of local ``config``.
+
+    The global instance is tagged ``("global", epoch)`` so it never collides
+    with a leader's local instance, orders already-decided cluster blocks
+    without threshold encryption, and keeps the local ABA round cap.
+    """
+    config = config or ConsensusConfig()
+    return ConsensusConfig(epoch=("global", config.epoch),
+                           use_threshold_encryption=False,
+                           max_aba_rounds=config.max_aba_rounds)
+
+
+def feed_decided_clusters(deployment: Deployment,
+                          leaders: Iterable[tuple[int, int]],
+                          local_protocols: dict[int, ConsensusProtocol],
+                          global_protocols: dict[int, ConsensusProtocol],
+                          outcomes: dict[int, ClusterOutcome]) -> None:
+    """Propose each newly decided local block into the global domain.
+
+    For every ``(cluster index, leader)`` whose leader has decided locally
+    and that has no entry in ``outcomes`` yet, records the outcome and
+    schedules the leader's global instance to propose the cluster's
+    contribution.  Run after every event by the one-epoch multi-hop run
+    (classic and sharded) and by the multi-hop stream.
+    """
+    for cluster_index, leader_id in leaders:
+        if cluster_index in outcomes:
+            continue
+        leader_protocol = local_protocols.get(leader_id)
+        if leader_protocol is None or not leader_protocol.decided:
+            continue
+        outcome = ClusterOutcome(cluster_index=cluster_index, leader=leader_id,
+                                 block=list(leader_protocol.block or []),
+                                 decide_time=leader_protocol.decide_time)
+        outcomes[cluster_index] = outcome
+        contribution = encode_cluster_contribution(cluster_index, outcome.block)
+        global_protocol = global_protocols.get(leader_id)
+        if global_protocol is not None:
+            deployment.nodes[leader_id].run_task(
+                lambda p=global_protocol, c=contribution: p.propose([c]))
+
+
+class MultiHopEpoch:
+    """One two-phase epoch on a multi-hop deployment (or one shard slice).
+
+    Construction builds the deployment (``shard`` as in
+    :func:`build_deployment`), installs the local and global protocol
+    instances and submits the local proposals.  :meth:`poll`, run after
+    every processed event, feeds each built cluster's locally decided block
+    into its leader's global instance; :meth:`done` reports whether every
+    honest leader built here has decided globally.  :meth:`report` shuts
+    the deployment down and returns picklable witnesses, which
+    :func:`multihop_result` merges -- one report for a classic run, one per
+    shard for the sharded engine.
+    """
+
+    def __init__(self, protocol: str, scenario: Scenario, batched: bool,
+                 seed: int, config: Optional[ConsensusConfig],
+                 workload_spec: WorkloadSpec, observer: Any = None,
+                 shard: Optional[tuple[int, Sequence[int]]] = None) -> None:
+        global_config = global_consensus_config(config)
+        self.deployment = deployment = build_deployment(
+            scenario, batched=batched, seed=seed,
+            crypto_schemes=crypto_schemes_for_protocol(protocol, config),
+            global_crypto_schemes=crypto_schemes_for_protocol(protocol,
+                                                              global_config),
+            shard=shard)
+        workload = TransactionWorkload(workload_spec, seed=seed)
+        self.local_protocols = install_epoch_protocols(
+            deployment, protocol, deployment.runtimes, config)
+        self.global_protocols = install_epoch_protocols(
+            deployment, protocol, deployment.global_runtimes, global_config)
+        cluster_of = {node_id: cluster.index
+                      for cluster in scenario.topology.clusters
+                      for node_id in cluster.node_ids}
+        self.cluster_of = cluster_of
+        propose_epoch(deployment, deployment.runtimes, workload,
+                      observer=observer,
+                      domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
+        self.outcomes: dict[int, ClusterOutcome] = {}
+        # The deployment's schedules already resolved (and, under
+        # rotate_crashed_leaders, rotated) the wired leader per cluster.
+        self.watched = [(cluster_index, leader)
+                        for cluster_index, leader
+                        in deployment.epoch_leaders.items()
+                        if leader in deployment.nodes]
+        self.honest_leaders = [leader for leader in deployment.global_runtimes
+                               if leader not in scenario.byzantine.byzantine_ids]
+
+    def poll(self) -> None:
+        feed_decided_clusters(self.deployment, self.watched,
+                              self.local_protocols, self.global_protocols,
+                              self.outcomes)
+
+    def done(self) -> bool:
+        return all(self.global_protocols[leader].decided
+                   for leader in self.honest_leaders)
+
+    def report(self) -> dict[str, Any]:
+        self.deployment.shutdown()
+        byzantine = self.deployment.scenario.byzantine.byzantine_ids
+        local_witnesses = []
+        for node_id, instance in self.local_protocols.items():
+            if node_id in byzantine:
+                continue
+            witness = instance.witness()
+            if witness.block is None:
+                continue
+            local_witnesses.append((node_id, self.cluster_of[node_id],
+                                    list(witness.block), witness.decide_time,
+                                    witness.digest))
+        global_witnesses = []
+        for leader in self.honest_leaders:
+            witness = self.global_protocols[leader].witness()
+            global_witnesses.append((leader, list(witness.block or []),
+                                     witness.decide_time, witness.digest))
+        return {
+            "local_latencies": {
+                outcome.cluster_index: outcome.decide_time
+                for outcome in self.outcomes.values()
+                if outcome.decide_time is not None},
+            "local_witnesses": local_witnesses,
+            "global_witnesses": global_witnesses,
+        }
+
+
+def multihop_result(protocol: str, scenario: Scenario, batched: bool,
+                    seed: int, decided: bool, reports: Sequence[dict],
+                    trace: NetworkTrace, sim_events: int,
+                    observer: Optional[RunObserver] = None) -> MultiHopRunResult:
+    """Merge :meth:`MultiHopEpoch.report` dicts into the run's result.
+
+    ``reports`` come in cluster order (shards hold contiguous cluster
+    blocks), so the observer sees every local decision, then every global
+    one, in the classic order.  ``latency_s`` is the time the slowest
+    honest leader decides globally.
+    """
+    local_latencies: dict[int, float] = {}
+    for report in reports:
+        local_latencies.update(report["local_latencies"])
+    if observer is not None:
+        for report in reports:
+            for node_id, cluster_index, block, decide_time, digest \
+                    in report["local_witnesses"]:
+                observer.record_decision(node_id, block, decide_time,
+                                         domain=("cluster", cluster_index),
+                                         digest=digest)
+    global_witnesses = [witness for report in reports
+                        for witness in report["global_witnesses"]]
+    global_decide_times = [decide_time
+                           for _leader, _block, decide_time, _digest
+                           in global_witnesses
+                           if decide_time is not None]
+    latency = max(global_decide_times) if global_decide_times else float("nan")
+    committed = 0
+    digest = ""
+    per_leader_digest: dict[int, str] = {}
+    for leader, block, decide_time, leader_digest in global_witnesses:
+        if not block:
+            continue
+        per_leader_digest[leader] = leader_digest
+        transactions = [transaction for item in block
+                        for transaction in _decode_contribution_txs(item)]
+        if not digest:
+            committed = len(transactions)
+            digest = leader_digest
+        if observer is not None:
+            observer.record_decision(leader, list(block), decide_time,
+                                     domain="global",
+                                     transactions=transactions,
+                                     digest=leader_digest)
+    return MultiHopRunResult(
+        protocol=protocol, batched=batched,
+        num_clusters=scenario.topology.num_clusters,
+        nodes_per_cluster=scenario.topology.clusters[0].size,
+        decided=decided, latency_s=latency,
+        local_latencies_s=local_latencies,
+        committed_transactions=committed,
+        block_digest=digest,
+        per_leader_digest=per_leader_digest,
+        channel_accesses=trace.total_channel_accesses,
+        bytes_sent=trace.total_bytes_sent,
+        collisions=trace.total_collisions,
+        sim_events=sim_events,
+        seed=seed)
+
+
 def run_multihop_consensus(protocol: str, scenario: Scenario,
                            batch_size: int = 8, transaction_bytes: int = 64,
                            batched: bool = True, seed: int = 0,
@@ -655,144 +885,39 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     batched, seed, shards)``; ``shard_workers`` only picks how many worker
     processes execute the identical barrier schedule, so every worker count
     reproduces every metric bit for bit (property-tested in
-    ``tests/testbed/test_shard_identity.py``).
+    ``tests/testbed/test_shard_identity.py``).  ``shard_workers`` other than
+    1 without ``shards`` raises :class:`DeploymentError`.
     """
     if not scenario.is_multi_hop:
         raise DeploymentError("run_multihop_consensus expects a multi-hop scenario")
     _reject_streaming_only_strategies(scenario)
+    workload_spec = workload_spec or WorkloadSpec(
+        batch_size=batch_size, transaction_bytes=transaction_bytes)
     if shards is not None:
         from repro.testbed.sharding import run_sharded_multihop_consensus
         return run_sharded_multihop_consensus(
             protocol, scenario, shards=shards, shard_workers=shard_workers,
-            batch_size=batch_size, transaction_bytes=transaction_bytes,
             batched=batched, seed=seed, config=config,
             workload_spec=workload_spec, observer=observer)
-    global_config = ConsensusConfig(
-        epoch=("global", (config or ConsensusConfig()).epoch),
-        use_threshold_encryption=False,
-        max_aba_rounds=(config or ConsensusConfig()).max_aba_rounds)
-    deployment = build_deployment(
-        scenario, batched=batched, seed=seed,
-        crypto_schemes=crypto_schemes_for_protocol(protocol, config),
-        global_crypto_schemes=crypto_schemes_for_protocol(protocol,
-                                                          global_config))
-    workload = TransactionWorkload(
-        workload_spec or WorkloadSpec(batch_size=batch_size,
-                                      transaction_bytes=transaction_bytes),
-        seed=seed)
-    local_protocols = install_epoch_protocols(deployment, protocol,
-                                              deployment.runtimes, config)
-    global_protocols = install_epoch_protocols(deployment, protocol,
-                                               deployment.global_runtimes,
-                                               global_config)
-    cluster_of = {node_id: cluster.index
-                  for cluster in scenario.topology.clusters
-                  for node_id in cluster.node_ids}
-    propose_epoch(deployment, deployment.runtimes, workload, observer=observer,
-                  domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
-
-    outcomes: dict[int, ClusterOutcome] = {}
-    result = MultiHopResult()
-
-    from repro.protocols.multihop import encode_cluster_contribution
-
-    def watch_local(cluster: Cluster, leader_id: int) -> Callable[[], None]:
-        def check() -> None:
-            # Called from the run loop: when this cluster's leader has decided
-            # locally, feed the decided block into the global consensus.
-            leader_protocol = local_protocols.get(leader_id)
-            if leader_protocol is None or not leader_protocol.decided:
-                return
-            if cluster.index in outcomes:
-                return
-            outcome = ClusterOutcome(cluster_index=cluster.index, leader=leader_id,
-                                     block=list(leader_protocol.block or []),
-                                     decide_time=leader_protocol.decide_time)
-            outcomes[cluster.index] = outcome
-            contribution = encode_cluster_contribution(cluster.index, outcome.block)
-            global_protocol = global_protocols.get(leader_id)
-            if global_protocol is not None:
-                deployment.nodes[leader_id].run_task(
-                    lambda p=global_protocol, c=contribution: p.propose([c]))
-        return check
-
-    watchers = []
-    for cluster in scenario.topology.clusters:
-        # The deployment's schedules already resolved (and, under
-        # rotate_crashed_leaders, rotated) the wired leader per cluster.
-        watchers.append(watch_local(cluster,
-                                    deployment.epoch_leaders[cluster.index]))
-
-    honest_leaders = [leader for leader in deployment.global_runtimes
-                      if leader not in scenario.byzantine.byzantine_ids]
+    if shard_workers != 1:
+        raise DeploymentError(
+            f"shard_workers={shard_workers} needs shards: the classic "
+            f"single-heap path runs in one process")
+    epoch = MultiHopEpoch(protocol, scenario, batched, seed, config,
+                          workload_spec, observer)
+    deployment = epoch.deployment
 
     def poll() -> bool:
-        for watcher in watchers:
-            watcher()
-        return all(global_protocols[leader].decided for leader in honest_leaders)
+        epoch.poll()
+        return epoch.done()
 
     decided = deployment.sim.run_until(poll, timeout=scenario.timeout_s)
-    deployment.shutdown()
-
-    local_latencies = {outcome.cluster_index: outcome.decide_time
-                       for outcome in outcomes.values()
-                       if outcome.decide_time is not None}
-    global_decide_times = [global_protocols[leader].decide_time
-                           for leader in honest_leaders
-                           if global_protocols[leader].decide_time is not None]
-    latency = max(global_decide_times) if global_decide_times else float("nan")
-
-    byzantine_ids = scenario.byzantine.byzantine_ids
-    if observer is not None:
-        # Local decisions: every honest cluster node that got that far.
-        for node_id, instance in local_protocols.items():
-            if node_id in byzantine_ids:
-                continue
-            witness = instance.witness()
-            if witness.block is None:
-                continue
-            observer.record_decision(node_id, list(witness.block),
-                                     witness.decide_time,
-                                     domain=("cluster", cluster_of[node_id]),
-                                     digest=witness.digest)
-    committed = 0
-    digest = ""
-    per_leader_digest: dict[int, str] = {}
-    for leader in honest_leaders:
-        witness = global_protocols[leader].witness()
-        if not witness.block:
-            continue
-        per_leader_digest[leader] = witness.digest
-        transactions = [transaction for item in witness.block
-                        for transaction in _decode_contribution_txs(item)]
-        if not digest:
-            committed = len(transactions)
-            digest = witness.digest
-        if observer is not None:
-            observer.record_decision(leader, list(witness.block),
-                                     witness.decide_time,
-                                     domain="global",
-                                     transactions=transactions,
-                                     digest=witness.digest)
-    return MultiHopRunResult(
-        protocol=protocol, batched=batched,
-        num_clusters=scenario.topology.num_clusters,
-        nodes_per_cluster=scenario.topology.clusters[0].size,
-        decided=decided, latency_s=latency,
-        local_latencies_s=local_latencies,
-        committed_transactions=committed,
-        block_digest=digest,
-        per_leader_digest=per_leader_digest,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        sim_events=deployment.sim.events_processed,
-        seed=seed)
+    return multihop_result(protocol, scenario, batched, seed, decided,
+                           [epoch.report()], deployment.trace,
+                           deployment.sim.events_processed, observer=observer)
 
 
 def _decode_contribution_txs(item: bytes) -> list[bytes]:
-    from repro.protocols.multihop import decode_cluster_contribution
-
     try:
         _cluster, transactions = decode_cluster_contribution(item)
         return transactions

@@ -65,14 +65,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.components.base import ComponentContext, ComponentRouter
-from repro.crypto.timing import CryptoSuite
 from repro.net.topology import faults_tolerated
 from repro.testbed.dealer_cache import (
-    SCHEME_COIN_FLIP,
-    SCHEME_THRESHOLD_COIN,
-    SCHEME_THRESHOLD_ENC,
-    SCHEME_THRESHOLD_SIG,
     DealerCache,
     deal_crypto_domain,
     stable_seed,
@@ -364,65 +358,37 @@ class MembershipController:
         departed *and* surviving, since survivors change committee-local id
         and keyring -- are shut down and released.
         """
-        from repro.testbed.harness import DomainRuntime, _make_transport
+        from repro.testbed.harness import bind_member
 
         deployment = self.deployment
-        scenario = deployment.scenario
         members = self.members
-        n = len(members)
         self.reconfig_index += 1
-        old_runtimes = dict(deployment.runtimes)
-        for node_id, runtime in old_runtimes.items():
+        for runtime in deployment.runtimes.values():
             runtime.transport.shutdown()
             for root in released_roots:
                 runtime.router.release_tag(root)
                 runtime.transport.release_tag(root)
         domain = deal_crypto_domain(
-            n, stable_seed(self.seed, "cluster", 0),
+            len(members), stable_seed(self.seed, "cluster", 0),
             schemes=self.schemes, cache=self.dealer_cache,
             domain=("committee",) + members)
-        cluster = scenario.topology.clusters[0]
-        new_runtimes: dict[int, DomainRuntime] = {}
+        cluster = deployment.scenario.topology.clusters[0]
+        new_runtimes = {}
         for local_id, global_id in enumerate(members):
-            node = deployment.nodes[global_id]
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=domain.signing_keys[local_id],
-                verify_keys=domain.verify_keys,
-                threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG,
-                                                 local_id),
-                threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN,
-                                                  local_id),
-                coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC,
-                                                 local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=random.Random(stable_seed(
+            runtime = bind_member(
+                deployment, deployment.nodes[global_id], domain, local_id,
+                crypto_rng=random.Random(stable_seed(
                     self.seed, "membership-crypto", self.reconfig_index,
                     global_id)),
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-                batch_session=self.batch_session,
-            )
-            transport = _make_transport(deployment.batched, node, n, suite,
-                                        deployment.trace, scenario.transport,
-                                        local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            for root in released_roots:
-                router.release_tag(root)
-                transport.release_tag(root)
-            node.bind_stack(transport, channel=cluster.channel_name)
-            node.bind_stack(transport)
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=n, faults=domain.faults,
-                transport=transport, suite=suite, sim=deployment.sim,
-                rng=random.Random(stable_seed(
+                component_rng=random.Random(stable_seed(
                     self.seed, "membership-component", self.reconfig_index,
-                    global_id)))
-            new_runtimes[global_id] = DomainRuntime(
-                local_id=local_id, ctx=ctx, transport=transport,
-                router=router)
+                    global_id)),
+                transport_config=deployment.scenario.transport,
+                channels=(cluster.channel_name, None),
+                batch_session=self.batch_session)
+            for root in released_roots:
+                runtime.router.release_tag(root)
+                runtime.transport.release_tag(root)
+            new_runtimes[global_id] = runtime
         deployment.runtimes.clear()
         deployment.runtimes.update(new_runtimes)

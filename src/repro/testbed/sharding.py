@@ -5,8 +5,9 @@ This module is the testbed half of the conservative-synchronization refactor
 partitions the cluster grid into contiguous groups; each group gets its own
 :class:`~repro.testbed.harness.Deployment` -- own simulator (heap, sequence
 counter, RNG streams), own channels, nodes, crypto suites and transports --
-built with exactly the classic ``stable_seed`` labels, so every shard-local
-stream is a pure function of ``(scenario, seed, shard layout)``.
+built by :func:`~repro.testbed.harness.build_deployment` from a shard slice
+with exactly the classic ``stable_seed`` labels, so every shard-local stream
+is a pure function of ``(scenario, seed, shard layout)``.
 
 Cross-shard coupling happens only on the leaders' backbone, which every shard
 hosts as a :class:`~repro.net.shard.ShardBackboneChannel` mirror: the full
@@ -18,49 +19,29 @@ global domain -- the per-shard dealer-cache key slice), local leaders attach
 real MACs, and remote leaders appear only through ghost transmissions
 exchanged at barrier windows.
 
-Metric merge follows the trace-ownership rules of the mirror (transmissions,
-channel accesses and collisions at the home shard; deliveries, half-duplex
-misses and adversary drops at the receiving shard), so summing per-shard
-traces reproduces single-channel totals; observer records are replayed in
-shard order, which equals the classic cluster order because shards are
-contiguous.
+Each shard runs the same :class:`~repro.testbed.harness.MultiHopEpoch` as a
+classic run, and the merged reports go through the same
+:func:`~repro.testbed.harness.multihop_result`.  Metric merge follows the
+trace-ownership rules of the mirror (transmissions, channel accesses and
+collisions at the home shard; deliveries, half-duplex misses and adversary
+drops at the receiving shard), so summing per-shard traces reproduces
+single-channel totals; observer records are replayed in shard order, which
+equals the classic cluster order because shards are contiguous.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.net.adversary import AsyncAdversary, DelayModel, LinkFaultSpec
-from repro.net.channel import WirelessChannel
-from repro.net.csma import CsmaMac
-from repro.net.node import NetworkNode
-from repro.net.routing import InterClusterRouting
-from repro.net.shard import (
-    Lookahead,
-    ShardBackboneChannel,
-    ShardCsmaMac,
-    ShardRunner,
-    ShardSyncError,
-    run_conservative,
-)
-from repro.net.sim import Simulator
+from repro.net.shard import Lookahead, ShardRunner, ShardSyncError, run_conservative
 from repro.net.trace import NetworkTrace
-from repro.protocols.multihop import ClusterOutcome, LeaderSchedule
-from repro.testbed.dealer_cache import (
-    SCHEME_COIN_FLIP,
-    SCHEME_THRESHOLD_COIN,
-    SCHEME_THRESHOLD_ENC,
-    SCHEME_THRESHOLD_SIG,
-    DealerCache,
-    deal_crypto_domain,
-    stable_seed,
-)
+from repro.protocols.base import ConsensusConfig
+from repro.testbed.harness import DeploymentError, MultiHopEpoch, multihop_result
 from repro.testbed.invariants import RunObserver
 from repro.testbed.metrics import MultiHopRunResult
 from repro.testbed.scenarios import Scenario
-from repro.testbed.workload import TransactionWorkload, WorkloadSpec
+from repro.testbed.workload import WorkloadSpec
 
 
 def partition_clusters(num_clusters: int, shards: int) -> list[list[int]]:
@@ -121,346 +102,40 @@ class _RecordingObserver:
 
 
 # ---------------------------------------------------------------------------
-# per-shard deployment
-# ---------------------------------------------------------------------------
-
-def build_shard_deployment(scenario: Scenario, shard_index: int,
-                           cluster_indices: list[int], batched: bool,
-                           seed: int, crypto_schemes: tuple[str, ...],
-                           global_crypto_schemes: tuple[str, ...],
-                           dealer_cache: Optional[DealerCache] = None
-                           ) -> tuple[Any, ShardBackboneChannel,
-                                      list[ShardCsmaMac]]:
-    """Build one shard's slice of a multi-hop deployment.
-
-    Mirrors :func:`repro.testbed.harness.build_deployment` for the clusters
-    in ``cluster_indices`` -- same ``stable_seed`` labels per node, so every
-    node's MAC/crypto/component stream is identical no matter which shard
-    layout hosts it -- plus the backbone mirror: leaders of *all* clusters
-    are resolved (pure scenario function), the global domain is dealt for all
-    of them, but only local leaders get MACs/suites/transports.
-    """
-    from repro.crypto.timing import CryptoSuite
-    from repro.core.batcher import TransportConfig
-    from repro.testbed.harness import (
-        Deployment,
-        DomainRuntime,
-        _make_transport,
-    )
-    from repro.components.base import ComponentContext, ComponentRouter
-    from repro.testbed.dealer_cache import SCHEME_KEYRING
-
-    local_clusters = [scenario.topology.clusters[index]
-                      for index in cluster_indices]
-    sim = Simulator(seed=stable_seed(seed, "shard", shard_index))
-    trace = NetworkTrace()
-    adversary = AsyncAdversary(
-        byzantine=set(scenario.byzantine.byzantine_ids),
-        delay_model=DelayModel(base_jitter_s=scenario.link_jitter_s),
-        link_faults=list(scenario.link_faults),
-        partitions=list(scenario.partitions))
-
-    channels: dict[str, WirelessChannel] = {}
-    for cluster in local_clusters:
-        channels[cluster.channel_name] = WirelessChannel(
-            sim, scenario.radio, trace, name=cluster.channel_name,
-            adversary=adversary)
-    backbone_name = scenario.topology.global_channel_name
-    routing = InterClusterRouting(scenario.topology)
-    backbone = ShardBackboneChannel(
-        sim, scenario.radio, trace, name=backbone_name, adversary=adversary,
-        per_hop_forward_s=scenario.per_hop_forward_s, shard_index=shard_index)
-    channels[backbone_name] = backbone
-
-    nodes: dict[int, NetworkNode] = {}
-    runtimes: dict[int, DomainRuntime] = {}
-
-    for cluster in local_clusters:
-        domain = deal_crypto_domain(
-            cluster.size, stable_seed(seed, "cluster", cluster.index),
-            schemes=crypto_schemes, cache=dealer_cache)
-        channel = channels[cluster.channel_name]
-        for local_id, global_id in enumerate(cluster.node_ids):
-            node = NetworkNode(sim, global_id, trace, cpu=scenario.cpu,
-                               dma_config=scenario.dma)
-            mac = CsmaMac(sim, global_id, channel, scenario.csma, trace,
-                          random.Random(stable_seed(seed, "mac", global_id)))
-            node.add_interface("radio0", mac)
-            nodes[global_id] = node
-            node_rng = random.Random(stable_seed(seed, "crypto", global_id))
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=domain.signing_keys[local_id],
-                verify_keys=domain.verify_keys,
-                threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-                threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-                coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=node_rng,
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-            )
-            transport = _make_transport(batched, node, cluster.size, suite,
-                                        trace, scenario.transport, local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            node.bind_stack(transport, channel=cluster.channel_name)
-            node.bind_stack(transport)
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=cluster.size, faults=domain.faults,
-                transport=transport, suite=suite, sim=sim,
-                rng=random.Random(stable_seed(seed, "component", global_id)))
-            runtimes[global_id] = DomainRuntime(local_id=local_id, ctx=ctx,
-                                                transport=transport,
-                                                router=router)
-
-    deployment = Deployment(scenario=scenario, sim=sim, trace=trace,
-                            adversary=adversary, channels=channels,
-                            nodes=nodes, runtimes=runtimes,
-                            global_runtimes={}, batched=batched)
-
-    # --- global (leader) domain: resolved for ALL clusters ----------------
-    crashed = lambda node_id: \
-        scenario.byzantine.assignments.get(node_id) == "crash"
-    for cluster in scenario.topology.clusters:
-        schedule = LeaderSchedule(cluster)
-        deployment.leader_schedules[cluster.index] = schedule
-        deployment.epoch_leaders[cluster.index] = schedule.active_leader(
-            epoch=0, crashed=crashed, rotate=scenario.rotate_crashed_leaders)
-    leaders = [deployment.epoch_leaders[cluster.index]
-               for cluster in scenario.topology.clusters]
-    global_domain = deal_crypto_domain(
-        len(leaders), stable_seed(seed, "global"),
-        schemes=global_crypto_schemes, cache=dealer_cache)
-    backbone.hop_counts.update(routing.hop_table_for(leaders))
-
-    local_cluster_set = set(cluster_indices)
-    backbone_macs: list[ShardCsmaMac] = []
-    for local_id, (cluster, leader_id) in enumerate(
-            zip(scenario.topology.clusters, leaders)):
-        if cluster.index not in local_cluster_set:
-            continue
-        node = nodes[leader_id]
-        mac = ShardCsmaMac(sim, leader_id, backbone, scenario.csma, trace,
-                           random.Random(stable_seed(seed, "gmac", leader_id)))
-        node.add_interface("backbone", mac)
-        backbone_macs.append(mac)
-        node_rng = random.Random(stable_seed(seed, "gcrypto", leader_id))
-        suite = CryptoSuite(
-            node_id=local_id,
-            signing_key=global_domain.signing_keys[local_id],
-            verify_keys=global_domain.verify_keys,
-            threshold_sig=global_domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-            threshold_coin=global_domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-            coin_flip=global_domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-            threshold_enc=global_domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-            ec_curve=scenario.ec_curve,
-            threshold_curve=scenario.threshold_curve,
-            rng=node_rng,
-            cost_sink=node.charge_cpu,
-            cost_scale=scenario.crypto_cost_scale,
-        )
-        transport_config = scenario.transport if scenario.transport.interface \
-            else TransportConfig(
-                aggregation_window_s=scenario.transport.aggregation_window_s,
-                resend_interval_s=scenario.transport.resend_interval_s,
-                resend_jitter=scenario.transport.resend_jitter,
-                stall_threshold_s=scenario.transport.stall_threshold_s,
-                reliability=scenario.transport.reliability,
-                sign_packets=scenario.transport.sign_packets,
-                interface="backbone")
-        transport = _make_transport(batched, node, len(leaders), suite, trace,
-                                    transport_config, local_id)
-        router = ComponentRouter()
-        transport.register_receiver(router.dispatch)
-        node.bind_stack(transport, channel=backbone_name)
-        ctx = ComponentContext(
-            node_id=local_id, num_nodes=len(leaders),
-            faults=global_domain.faults, transport=transport, suite=suite,
-            sim=sim,
-            rng=random.Random(stable_seed(seed, "gcomponent", leader_id)))
-        deployment.global_runtimes[leader_id] = DomainRuntime(
-            local_id=local_id, ctx=ctx, transport=transport, router=router)
-
-    _apply_byzantine_network_behaviour_sharded(deployment)
-    return deployment, backbone, backbone_macs
-
-
-def _apply_byzantine_network_behaviour_sharded(deployment: Any) -> None:
-    """Shard-aware variant of the harness byzantine network behaviours.
-
-    Crashes act on the node object and apply only where the node lives;
-    slow links and lossy links act at delivery time in the *receiving*
-    shard's adversary, so they must be registered in every shard regardless
-    of where the byzantine sender lives.
-    """
-    scenario = deployment.scenario
-    spec = scenario.byzantine
-    all_node_ids = [node_id for cluster in scenario.topology.clusters
-                    for node_id in cluster.node_ids]
-    for node_id, strategy in spec.assignments.items():
-        if strategy == "crash":
-            node = deployment.nodes.get(node_id)
-            if node is not None:
-                node.crash()
-        elif strategy == "late-crash":
-            node = deployment.nodes.get(node_id)
-            if node is not None:
-                deployment.sim.schedule(spec.late_crash_at_s, node.crash,
-                                        label=f"late-crash:{node_id}")
-        elif strategy == "slow-links":
-            for other_id in all_node_ids:
-                if other_id != node_id:
-                    deployment.adversary.target_link(node_id, other_id,
-                                                     spec.slow_link_delay_s)
-        elif strategy == "lossy-links":
-            deployment.adversary.add_link_fault(LinkFaultSpec(
-                drop_rate=spec.lossy_drop_rate,
-                duplicate_rate=spec.lossy_duplicate_rate,
-                reorder_jitter_s=spec.lossy_reorder_jitter_s,
-                senders=frozenset({node_id})))
-
-
-# ---------------------------------------------------------------------------
 # per-shard runner
 # ---------------------------------------------------------------------------
 
 class _MultiHopShardRunner(ShardRunner):
     """One shard of a multi-hop consensus run.
 
-    Owns the shard deployment plus the local/global protocol instances; the
-    ``poll`` hook couples local decisions into the global domain exactly as
-    the classic run loop does, and ``finish()`` produces the picklable
-    report the parent merges into a :class:`MultiHopRunResult`.
+    Wraps the shard's :class:`~repro.testbed.harness.MultiHopEpoch`: its
+    ``poll`` couples local decisions into the global domain after every
+    event exactly as the classic run loop does, its ``done`` is the
+    shard-local stop condition, and ``finish()`` adds the shard's event
+    count, trace and recorded proposals to the epoch's picklable report.
     """
 
-    def __init__(self, shard_index: int, deployment: Any,
-                 backbone: ShardBackboneChannel,
-                 backbone_macs: list[ShardCsmaMac],
-                 local_protocols: dict[int, Any],
-                 global_protocols: dict[int, Any],
-                 cluster_of: dict[int, int],
-                 recorder: _RecordingObserver,
-                 watchers: list[Callable[[], None]],
-                 honest_leaders: list[int],
-                 outcomes: dict[int, ClusterOutcome]) -> None:
-        self.deployment = deployment
-        self.local_protocols = local_protocols
-        self.global_protocols = global_protocols
-        self.cluster_of = cluster_of
+    def __init__(self, shard_index: int, epoch: MultiHopEpoch,
+                 recorder: _RecordingObserver) -> None:
+        self.epoch = epoch
         self.recorder = recorder
-        self.honest_leaders = honest_leaders
-        self.outcomes = outcomes
-
-        def poll() -> None:
-            for watcher in watchers:
-                watcher()
-
-        def done() -> bool:
-            return all(global_protocols[leader].decided
-                       for leader in honest_leaders)
-
+        deployment = epoch.deployment
+        backbone = deployment.channels[
+            deployment.scenario.topology.global_channel_name]
+        backbone_macs = [deployment.nodes[leader].interfaces["backbone"]
+                         for leader in deployment.global_runtimes]
         super().__init__(shard_index, deployment.sim, backbone, backbone_macs,
                          difs_s=deployment.scenario.csma.difs_s,
-                         poll=poll, done=done)
+                         poll=epoch.poll, done=epoch.done)
 
     def finish(self) -> dict[str, Any]:
-        deployment = self.deployment
-        deployment.shutdown()
-        byzantine = deployment.scenario.byzantine.byzantine_ids
-        local_witnesses = []
-        for node_id, instance in self.local_protocols.items():
-            if node_id in byzantine:
-                continue
-            witness = instance.witness()
-            if witness.block is None:
-                continue
-            local_witnesses.append((node_id, self.cluster_of[node_id],
-                                    list(witness.block), witness.decide_time,
-                                    witness.digest))
-        global_witnesses = []
-        for leader in self.honest_leaders:
-            witness = self.global_protocols[leader].witness()
-            global_witnesses.append((leader,
-                                     list(witness.block or []),
-                                     witness.decide_time, witness.digest))
-        return {
-            "shard": self.shard_index,
-            "events": deployment.sim.events_processed,
-            "trace": deployment.trace,
-            "proposals": self.recorder.proposals,
-            "local_latencies": {
-                outcome.cluster_index: outcome.decide_time
-                for outcome in self.outcomes.values()
-                if outcome.decide_time is not None},
-            "local_witnesses": local_witnesses,
-            "global_witnesses": global_witnesses,
-        }
-
-
-def _build_shard_runner(shard_index: int, cluster_indices: list[int],
-                        protocol: str, scenario: Scenario, batched: bool,
-                        seed: int, config: Any, global_config: Any,
-                        workload_spec: WorkloadSpec) -> _MultiHopShardRunner:
-    from repro.protocols.multihop import encode_cluster_contribution
-    from repro.testbed.harness import (
-        crypto_schemes_for_protocol,
-        install_epoch_protocols,
-        propose_epoch,
-    )
-
-    deployment, backbone, backbone_macs = build_shard_deployment(
-        scenario, shard_index, cluster_indices, batched, seed,
-        crypto_schemes=crypto_schemes_for_protocol(protocol, config),
-        global_crypto_schemes=crypto_schemes_for_protocol(protocol,
-                                                          global_config))
-    workload = TransactionWorkload(workload_spec, seed=seed)
-    local_protocols = install_epoch_protocols(deployment, protocol,
-                                              deployment.runtimes, config)
-    global_protocols = install_epoch_protocols(deployment, protocol,
-                                               deployment.global_runtimes,
-                                               global_config)
-    cluster_of = {node_id: cluster.index
-                  for cluster in scenario.topology.clusters
-                  for node_id in cluster.node_ids}
-    recorder = _RecordingObserver()
-    propose_epoch(deployment, deployment.runtimes, workload,
-                  observer=recorder,
-                  domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
-
-    outcomes: dict[int, ClusterOutcome] = {}
-
-    def watch_local(cluster: Any, leader_id: int) -> Callable[[], None]:
-        def check() -> None:
-            leader_protocol = local_protocols.get(leader_id)
-            if leader_protocol is None or not leader_protocol.decided:
-                return
-            if cluster.index in outcomes:
-                return
-            outcome = ClusterOutcome(cluster_index=cluster.index,
-                                     leader=leader_id,
-                                     block=list(leader_protocol.block or []),
-                                     decide_time=leader_protocol.decide_time)
-            outcomes[cluster.index] = outcome
-            contribution = encode_cluster_contribution(cluster.index,
-                                                       outcome.block)
-            global_protocol = global_protocols.get(leader_id)
-            if global_protocol is not None:
-                deployment.nodes[leader_id].run_task(
-                    lambda p=global_protocol, c=contribution: p.propose([c]))
-        return check
-
-    watchers = [watch_local(scenario.topology.clusters[index],
-                            deployment.epoch_leaders[index])
-                for index in cluster_indices]
-    honest_leaders = [leader for leader in deployment.global_runtimes
-                      if leader not in scenario.byzantine.byzantine_ids]
-    return _MultiHopShardRunner(shard_index, deployment, backbone,
-                                backbone_macs, local_protocols,
-                                global_protocols, cluster_of, recorder,
-                                watchers, honest_leaders, outcomes)
+        report = self.epoch.report()
+        deployment = self.epoch.deployment
+        report.update(shard=self.shard_index,
+                      events=deployment.sim.events_processed,
+                      trace=deployment.trace,
+                      proposals=self.recorder.proposals)
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +147,7 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
                                    batch_size: int = 8,
                                    transaction_bytes: int = 64,
                                    batched: bool = True, seed: int = 0,
-                                   config: Any = None,
+                                   config: Optional[ConsensusConfig] = None,
                                    workload_spec: Optional[WorkloadSpec] = None,
                                    observer: Optional[RunObserver] = None,
                                    shard_stats: Optional[list] = None
@@ -480,7 +155,8 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
     """Run the two-phase multi-hop consensus under conservative sharding.
 
     The result is a pure function of ``(protocol, scenario, workload,
-    batched, seed, shards)`` -- ``shard_workers`` only chooses how many
+    batched, seed, shards)`` -- ``shard_workers`` (at least 1, else
+    :class:`~repro.testbed.harness.DeploymentError`) only chooses how many
     processes execute the (identical) barrier schedule, so any worker count
     reproduces every metric bit for bit.
 
@@ -488,22 +164,18 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
     (``shard``, ``clusters``, ``events``) describing how the event load
     split -- diagnostics the merged result deliberately flattens away.
     """
-    from repro.protocols.base import ConsensusConfig
-    from repro.testbed.harness import _decode_contribution_txs
-
-    base_config = config or ConsensusConfig()
-    global_config = ConsensusConfig(
-        epoch=("global", base_config.epoch),
-        use_threshold_encryption=False,
-        max_aba_rounds=base_config.max_aba_rounds)
+    if shard_workers < 1:
+        raise DeploymentError(
+            f"shard_workers must be at least 1, got {shard_workers}")
     spec = workload_spec or WorkloadSpec(batch_size=batch_size,
                                          transaction_bytes=transaction_bytes)
     blocks = partition_clusters(scenario.topology.num_clusters, shards)
 
     def factory(shard_index: int) -> _MultiHopShardRunner:
-        return _build_shard_runner(shard_index, blocks[shard_index], protocol,
-                                   scenario, batched, seed, config,
-                                   global_config, spec)
+        recorder = _RecordingObserver()
+        epoch = MultiHopEpoch(protocol, scenario, batched, seed, config, spec,
+                              recorder, shard=(shard_index, blocks[shard_index]))
+        return _MultiHopShardRunner(shard_index, epoch, recorder)
 
     lookahead = Lookahead(difs_s=scenario.csma.difs_s,
                           rx_turnaround_s=scenario.radio.rx_turnaround_s)
@@ -512,17 +184,11 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
 
     # ------------------------------------------------------------------ merge
     finals = sorted(finals, key=lambda final: final["shard"])
-    trace = merge_traces([final["trace"] for final in finals])
-    sim_events = sum(final["events"] for final in finals)
     if shard_stats is not None:
         shard_stats.extend(
             {"shard": final["shard"], "clusters": list(blocks[final["shard"]]),
              "events": final["events"]}
             for final in finals)
-    local_latencies: dict[int, float] = {}
-    for final in finals:
-        local_latencies.update(final["local_latencies"])
-
     if observer is not None:
         # Shards hold contiguous cluster blocks, so replaying reports in
         # shard order reproduces the classic (cluster-order) record stream.
@@ -530,51 +196,7 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
             for node_id, transactions, domain, kind in final["proposals"]:
                 observer.record_proposal(node_id, transactions, domain,
                                          kind=kind)
-        for final in finals:
-            for node_id, cluster_index, block, decide_time, digest \
-                    in final["local_witnesses"]:
-                observer.record_decision(node_id, block, decide_time,
-                                         domain=("cluster", cluster_index),
-                                         digest=digest)
-
-    global_decide_times = [decide_time
-                           for final in finals
-                           for _leader, _block, decide_time, _digest
-                           in final["global_witnesses"]
-                           if decide_time is not None]
-    latency = max(global_decide_times) if global_decide_times else float("nan")
-
-    committed = 0
-    digest = ""
-    per_leader_digest: dict[int, str] = {}
-    for final in finals:
-        for leader, block, decide_time, leader_digest \
-                in final["global_witnesses"]:
-            if not block:
-                continue
-            per_leader_digest[leader] = leader_digest
-            transactions = [transaction for item in block
-                            for transaction in _decode_contribution_txs(item)]
-            if not digest:
-                committed = len(transactions)
-                digest = leader_digest
-            if observer is not None:
-                observer.record_decision(leader, list(block), decide_time,
-                                         domain="global",
-                                         transactions=transactions,
-                                         digest=leader_digest)
-
-    return MultiHopRunResult(
-        protocol=protocol, batched=batched,
-        num_clusters=scenario.topology.num_clusters,
-        nodes_per_cluster=scenario.topology.clusters[0].size,
-        decided=decided, latency_s=latency,
-        local_latencies_s=local_latencies,
-        committed_transactions=committed,
-        block_digest=digest,
-        per_leader_digest=per_leader_digest,
-        channel_accesses=trace.total_channel_accesses,
-        bytes_sent=trace.total_bytes_sent,
-        collisions=trace.total_collisions,
-        sim_events=sim_events,
-        seed=seed)
+    return multihop_result(
+        protocol, scenario, batched, seed, decided, finals,
+        merge_traces([final["trace"] for final in finals]),
+        sum(final["events"] for final in finals), observer=observer)

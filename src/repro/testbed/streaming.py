@@ -63,11 +63,14 @@ from typing import Any, Callable, Optional
 
 from repro.crypto.group import BatchVerifySession
 from repro.protocols.base import ConsensusConfig, ConsensusProtocol
+from repro.protocols.multihop import ClusterOutcome
 from repro.testbed.harness import (
     Deployment,
     DeploymentError,
     build_deployment,
     crypto_schemes_for_protocol,
+    feed_decided_clusters,
+    global_consensus_config,
     install_epoch_protocols,
     propose_epoch,
 )
@@ -280,21 +283,13 @@ class StreamingRun:
         #: instead of redoing the wall-clock work.  Modelled CPU cost and
         #: results are unchanged -- see BatchVerifySession.
         self.batch_session = BatchVerifySession()
-        if scenario.is_multi_hop:
-            global_config = self._global_config(0)
-            self.deployment = build_deployment(
-                scenario, batched=batched, seed=seed,
-                crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, self.base_config),
-                global_crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, global_config),
-                batch_session=self.batch_session)
-        else:
-            self.deployment = build_deployment(
-                scenario, batched=batched, seed=seed,
-                crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, self.base_config),
-                batch_session=self.batch_session)
+        self.deployment = build_deployment(
+            scenario, batched=batched, seed=seed,
+            crypto_schemes=crypto_schemes_for_protocol(
+                protocol, self.base_config),
+            global_crypto_schemes=crypto_schemes_for_protocol(
+                protocol, global_consensus_config(self.base_config)),
+            batch_session=self.batch_session)
         #: time-varying network conditions (None = static scenario only)
         self.controller = ScenarioController(pack, self.deployment) \
             if pack is not None else None
@@ -371,7 +366,7 @@ class StreamingRun:
         self.epoch_batches: dict[int, dict[int, list]] = {}
         self.local_instances: dict[int, dict[int, ConsensusProtocol]] = {}
         self.global_instances: dict[int, dict[int, ConsensusProtocol]] = {}
-        self._fed_clusters: dict[int, set] = {}
+        self._fed_clusters: dict[int, dict[int, ClusterOutcome]] = {}
         self.epoch_start_s: dict[int, float] = {}
         self.epoch_backlogs: dict[int, list] = {}
         # stream progress
@@ -410,12 +405,6 @@ class StreamingRun:
         self._pump(node_id)
 
     # ------------------------------------------------------------ epoch starts
-    def _global_config(self, epoch: int) -> ConsensusConfig:
-        return ConsensusConfig(
-            epoch=("global", epoch),
-            use_threshold_encryption=False,
-            max_aba_rounds=self.base_config.max_aba_rounds)
-
     def _crash_epoch_victims(self, epoch: int) -> None:
         """Fire the ``epoch-crash`` fault: victims go silent at epoch k."""
         byzantine = self.scenario.byzantine
@@ -481,8 +470,8 @@ class StreamingRun:
                 "epoch", epoch, "cluster", self.cluster_of[node_id])
             self.global_instances[epoch] = install_epoch_protocols(
                 deployment, self.protocol, deployment.global_runtimes,
-                self._global_config(epoch))
-            self._fed_clusters[epoch] = set()
+                global_consensus_config(config))
+            self._fed_clusters[epoch] = {}
         else:
             domain_of = lambda _node_id: ("epoch", epoch)
         batches: dict[int, list] = {}
@@ -498,28 +487,6 @@ class StreamingRun:
             observer=self.observer, domain_of=domain_of,
             batch_for=drain, equivocation_epoch=("equiv", epoch))
         self.next_epoch = epoch + 1
-
-    def _feed_global(self, epoch: int) -> None:
-        """Multi-hop: feed decided local blocks into the epoch's global
-        instance (the streaming replay of ``run_multihop_consensus``'s
-        watcher loop; leaders stay pinned to the deployment's schedules)."""
-        from repro.protocols.multihop import encode_cluster_contribution
-
-        fed = self._fed_clusters[epoch]
-        for cluster in self.scenario.topology.clusters:
-            if cluster.index in fed:
-                continue
-            leader_id = self.deployment.epoch_leaders[cluster.index]
-            local = self.local_instances[epoch].get(leader_id)
-            if local is None or not local.decided:
-                continue
-            fed.add(cluster.index)
-            contribution = encode_cluster_contribution(
-                cluster.index, list(local.block or []))
-            global_instance = self.global_instances[epoch].get(leader_id)
-            if global_instance is not None:
-                self.deployment.nodes[leader_id].run_task(
-                    lambda p=global_instance, c=contribution: p.propose([c]))
 
     # -------------------------------------------------------------- lifecycle
     def _epoch_ready(self, epoch: int) -> bool:
@@ -697,7 +664,12 @@ class StreamingRun:
                 progressed = True
             if self.scenario.is_multi_hop:
                 for epoch in list(self.global_instances):
-                    self._feed_global(epoch)
+                    # leaders stay pinned to the deployment's schedules
+                    feed_decided_clusters(
+                        self.deployment, self.deployment.epoch_leaders.items(),
+                        self.local_instances[epoch],
+                        self.global_instances[epoch],
+                        self._fed_clusters[epoch])
             if (self.next_epoch < self.spec.epochs
                     and self.next_epoch - self.checkpoint_cursor < window
                     and self._epoch_ready(self.next_epoch - 1)):

@@ -27,6 +27,7 @@ from repro.net.shard import (
     ShardBackboneChannel,
     ShardRunner,
     ShardSyncError,
+    _InProcessPool,
     next_horizon,
     run_conservative,
 )
@@ -293,6 +294,34 @@ class TestRunConservative:
         with pytest.raises(ShardSyncError):
             run_conservative(lambda index: _ToyRunner(index, []), 0,
                              Lookahead(0.001, 0.002), 1.0)
+
+    def test_zero_workers_rejected(self):
+        # a worker count below one used to be clamped to one in silence
+        with pytest.raises(ShardSyncError, match="workers must be at least 1"):
+            run_conservative(lambda index: _ToyRunner(index, [0.5]), 1,
+                             Lookahead(0.001, 0.002), 1.0, workers=0)
+
+    def test_stalled_horizon_rejected(self):
+        # a shard promising an already-elapsed bound would make the window
+        # sequence move backwards; the coordinator refuses it
+        class Stuck(_ToyRunner):
+            def bound(self):
+                return 0.0
+
+        with pytest.raises(ShardSyncError, match="stalled"):
+            run_conservative(lambda index: Stuck(index, [0.5]), 1,
+                             Lookahead(0.001, 0.002), 1.0)
+
+    def test_in_process_pool_steps_every_shard_to_the_horizon(self):
+        seen = []
+        first, second = _ToyRunner(0, [0.5]), _ToyRunner(1, [0.2, 0.8])
+        first.poll = lambda: seen.append(0)
+        second.poll = lambda: seen.append(1)
+        pool = _InProcessPool([first, second])
+        assert [result.processed for result in pool.step(0.6, {})] == [1, 1]
+        assert first.sim.now == 0.6 and second.sim.now == 0.6
+        assert [result.processed for result in pool.step(1.0, {})] == [0, 1]
+        assert seen == [0, 1, 1]
 
     def test_nonpositive_difs_rejected(self):
         with pytest.raises(ShardSyncError, match="DIFS"):

@@ -1,4 +1,4 @@
-"""Simulator scheduling validation, barrier windows and the sharded facade.
+"""Simulator scheduling validation and barrier windows.
 
 Covers the PR-9 additions to :mod:`repro.net.sim`:
 
@@ -9,14 +9,22 @@ Covers the PR-9 additions to :mod:`repro.net.sim`:
 * ``run_window`` -- the conservative-synchronization primitive -- is
   inclusive of its horizon, fast-forwards empty windows, honours
   cancellations and runs the poll hook at per-event cadence;
-* ``ShardedSimulator`` advances member simulators in lockstep.
+* per-shard simulators advance in lockstep, one ``run_window`` per shard
+  per barrier, through the in-process pool of :mod:`repro.net.shard`.
 """
 
 import math
 
 import pytest
 
-from repro.net.sim import ShardedSimulator, SimulationError, Simulator
+from repro.net.shard import (
+    Lookahead,
+    ShardRunner,
+    ShardSyncError,
+    _InProcessPool,
+    run_conservative,
+)
+from repro.net.sim import SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +105,14 @@ class TestRunWindow:
         assert processed == 1
         assert sim.now == 1.0
 
+    def test_infinite_horizon_is_a_valid_window_end(self):
+        # run_conservative ends at the timeout, never at inf, but the
+        # primitive itself does not interpret horizons
+        sim = Simulator()
+        sim.schedule(0.5, lambda: None)
+        assert sim.run_window(math.inf) == 1
+        assert sim.now == math.inf
+
     def test_empty_window_fast_forwards_clock(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
@@ -172,45 +188,39 @@ class TestNextEventTime:
 
 
 # ---------------------------------------------------------------------------
-# ShardedSimulator facade
+# sharded simulators: lockstep windows through the in-process pool
 # ---------------------------------------------------------------------------
+
+def _shard(index, sim, poll=None):
+    return ShardRunner(index, sim, backbone=None, backbone_macs=[],
+                       difs_s=0.001, poll=poll)
+
 
 class TestShardedSimulator:
     def test_requires_at_least_one_shard(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator([])
+        with pytest.raises(ShardSyncError, match="at least one shard"):
+            run_conservative(lambda index: _shard(index, Simulator()), 0,
+                             Lookahead(0.001, 0.002), 1.0)
 
     def test_lockstep_advance_and_per_shard_counts(self):
         shard_a, shard_b = Simulator(seed=1), Simulator(seed=2)
         shard_a.schedule(0.5, lambda: None)
         shard_b.schedule(0.2, lambda: None)
         shard_b.schedule(0.8, lambda: None)
-        sharded = ShardedSimulator([shard_a, shard_b])
-        assert sharded.run_window(0.6) == [1, 1]
+        pool = _InProcessPool([_shard(0, shard_a), _shard(1, shard_b)])
+        assert [result.processed for result in pool.step(0.6, {})] == [1, 1]
         assert shard_a.now == 0.6 and shard_b.now == 0.6
-        assert sharded.now == 0.6
-        assert sharded.run_window(1.0) == [0, 1]
-        assert sharded.events_processed == 3
-        assert sharded.pending_events() == 0
-
-    def test_window_cannot_move_backwards(self):
-        sharded = ShardedSimulator([Simulator()])
-        sharded.run_window(1.0)
-        with pytest.raises(SimulationError, match="back"):
-            sharded.run_window(0.5)
+        assert [result.processed for result in pool.step(1.0, {})] == [0, 1]
+        assert shard_a.now == 1.0 and shard_b.now == 1.0
+        assert shard_a.events_processed + shard_b.events_processed == 3
+        assert shard_a.pending_events() + shard_b.pending_events() == 0
 
     def test_per_shard_polls(self):
         shard_a, shard_b = Simulator(), Simulator()
         shard_a.schedule(0.1, lambda: None)
         shard_b.schedule(0.1, lambda: None)
         seen = []
-        sharded = ShardedSimulator([shard_a, shard_b])
-        sharded.run_window(1.0, polls=[lambda: seen.append("a"),
-                                       lambda: seen.append("b")])
+        pool = _InProcessPool([_shard(0, shard_a, lambda: seen.append("a")),
+                               _shard(1, shard_b, lambda: seen.append("b"))])
+        pool.step(1.0, {})
         assert seen == ["a", "b"]
-
-    def test_infinite_horizon_not_required(self):
-        # the facade never interprets horizons; inf is a valid window end
-        sharded = ShardedSimulator([Simulator()])
-        sharded.run_window(math.inf)
-        assert sharded.now == math.inf

@@ -25,7 +25,11 @@ import dataclasses
 import pytest
 
 from repro.testbed.byzantine import ByzantineSpec
-from repro.testbed.harness import run_multihop_consensus
+from repro.testbed.harness import (
+    DeploymentError,
+    build_deployment,
+    run_multihop_consensus,
+)
 from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
 from repro.testbed.sharding import merge_traces, partition_clusters
@@ -127,6 +131,40 @@ class TestShardedWithFaults:
         assert _run("honeybadger-sc", scenario, 0, shards=2,
                     workers=2) == reference
 
+    def test_slow_and_lossy_links_across_shards(self):
+        # Node 0 (cluster 0's leader, shard 0) has slow links and node 6
+        # (cluster 1, shard 1) lossy ones.  Both act at delivery time in
+        # the receiving shard, so each shard's adversary must carry both --
+        # including the shard that does not host the faulty node.  The
+        # pinned values were recorded before the classic and sharded
+        # builders were merged.
+        scenario = Scenario.scale_multi_hop(2, 4).with_byzantine(
+            ByzantineSpec(assignments={0: "slow-links", 6: "lossy-links"}))
+        reference = _run("honeybadger-sc", scenario, 0, shards=2, workers=1)
+        digest = "3cdcd8ff003ba8681f0588ad14e2d9b17dda7c07b8f10df3a96c60b5776956e0"
+        assert reference["decided"] is True
+        assert reference["block_digest"] == digest
+        assert reference["per_leader_digest"] == {0: digest, 5: digest}
+        assert reference["committed_transactions"] == 48
+        assert reference["latency_s"] == 8.461290435146626
+        assert reference["sim_events"] == 1799
+        assert _run("honeybadger-sc", scenario, 0, shards=2,
+                    workers=2) == reference
+
+        topology_ids = [node_id for cluster in scenario.topology.clusters
+                        for node_id in cluster.node_ids]
+        for shard in (0, 1):
+            deployment = build_deployment(scenario, seed=0,
+                                          shard=(shard, [shard]))
+            assert (0 in deployment.nodes) == (shard == 0)
+            assert (6 in deployment.nodes) == (shard == 1)
+            targeted = deployment.adversary.delay_model.targeted
+            assert all(targeted[(0, other)] == 8.0
+                       for other in topology_ids if other != 0)
+            assert [fault.senders for fault in deployment.adversary.link_faults
+                    ] == [frozenset({6})]
+            deployment.shutdown()
+
     def test_invariants_hold_on_sharded_run(self):
         scenario = Scenario.scale_multi_hop(2, 4)
         observer = RunObserver()
@@ -175,6 +213,24 @@ class TestPartitioning:
         scenario = Scenario.scale_multi_hop(2, 4)
         with pytest.raises(ShardSyncError):
             run_multihop_consensus("honeybadger-sc", scenario, shards=3)
+
+    def test_shard_workers_without_shards_rejected(self):
+        # the classic path used to drop shard_workers in silence
+        scenario = Scenario.scale_multi_hop(2, 4)
+        with pytest.raises(DeploymentError, match="shard_workers=4"):
+            run_multihop_consensus("honeybadger-sc", scenario,
+                                   shard_workers=4)
+
+    def test_zero_shard_workers_rejected(self):
+        # a worker count below one used to be clamped to one in silence
+        scenario = Scenario.scale_multi_hop(2, 4)
+        with pytest.raises(DeploymentError, match="shard_workers"):
+            run_multihop_consensus("honeybadger-sc", scenario, shards=2,
+                                   shard_workers=0)
+
+    def test_shard_slice_needs_multi_hop(self):
+        with pytest.raises(DeploymentError, match="shard"):
+            build_deployment(Scenario.single_hop(4), shard=(0, [0]))
 
 
 class TestMergeTraces:
