@@ -42,11 +42,6 @@ from bench_scale_setup import (  # noqa: E402
 )
 from bench_ingress import OFFERED_TPS, bench_ingress  # noqa: E402
 from bench_scenario import SCENARIO_PACK, bench_scenario  # noqa: E402
-from bench_shard_scale import (  # noqa: E402
-    bench_shard,
-    shard_speedups,
-    shard_workers,
-)
 from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
@@ -399,11 +394,10 @@ def run_benchmarks(quick: bool = False) -> dict:
     with crypto_backend.use("pure"):
         for section in (bench_group_exp, bench_threshold_shares,
                         bench_schnorr_verify, bench_erasure, bench_simulator, bench_dealer, bench_streaming,
-                        bench_ingress, bench_scenario, bench_shard):
+                        bench_ingress, bench_scenario):
             results.update(section(budget))
     results.update(bench_native_backend(budget))
     speedups = dealer_speedups(results)
-    speedups |= shard_speedups(results)
     speedups |= {
         "group_exp_fixed_base_vs_pow":
             results["group_exp_fixed_base"] / results["group_exp_pow"],
@@ -443,7 +437,6 @@ def run_benchmarks(quick: bool = False) -> dict:
             "erasure_k": ERASURE_K,
             "erasure_n": ERASURE_N,
             "erasure_payload_bytes": ERASURE_PAYLOAD,
-            "shard_workers": shard_workers(),
             "backend": crypto_backend.backend_info(),
         },
         "results_ops_per_sec": {key: round(value, 2)

@@ -27,10 +27,7 @@ applies every quick-mode invariant plus
 * the native-backend acceptance floors: share combine >= 5x and erasure
   decode >= 5x the pre-backend recorded rates (only enforced when a native
   tier is available -- a pure-only environment cannot hit them and is not
-  expected to), and
-* the sharded-simulator gates: a machine-aware ``shard_speedup`` floor
-  (overhead bound on one core, same-league floor with real cores) plus a
-  4x4 bit-identity smoke across ``shard_workers`` 1 vs 2.
+  expected to).
 
 The streaming gates (``streaming_tx_per_sec``,
 ``scenario_stream_tx_per_sec``, ``ingress_stream_tx_per_sec``) ride in the
@@ -81,8 +78,6 @@ GATED_METRICS = (
     "streaming_tx_per_sec",
     "scenario_stream_tx_per_sec",
     "ingress_stream_tx_per_sec",
-    "shard_multihop_8x8_classic",
-    "shard_multihop_8x8_sharded",
 )
 MAX_REGRESSION = 2.0
 
@@ -103,16 +98,6 @@ PRE_BACKEND_RATES = {
     "erasure_decode_native_k32": 225.71,  # pure erasure_decode_k32
 }
 MIN_NATIVE_VS_PRE_BACKEND = 5.0
-
-# Sharded-simulator floors (full mode), machine-aware: on a single core the
-# forked workers cannot overlap, so ``shard_speedup`` measures pure
-# synchronization overhead and only a catastrophic regression (a barrier
-# livelock, per-window replays) pushes it below the overhead bound.  With
-# real cores the multi-process run must at least stay in the same league as
-# the classic heap -- actual speedup depends on core count and grid size, so
-# the floor guards against pathology rather than asserting a win.
-MIN_SHARD_SPEEDUP_SINGLE_CORE = 0.4
-MIN_SHARD_SPEEDUP_MULTI_CORE = 0.7
 
 
 def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
@@ -198,35 +183,6 @@ def _check_full_mode_gates(document: dict, baseline_path: str,
                     f"{pre_backend:.1f})")
 
 
-def _check_shard_gates(document: dict, failures: list[str]) -> None:
-    """Full-mode sharded-simulator gates: speedup floor + bit-identity."""
-    import dataclasses
-
-    from repro.testbed.harness import run_multihop_consensus
-    from repro.testbed.scenarios import Scenario
-
-    speedup = document["speedups"].get("shard_speedup")
-    single_core = (os.cpu_count() or 1) <= 1
-    floor = (MIN_SHARD_SPEEDUP_SINGLE_CORE if single_core
-             else MIN_SHARD_SPEEDUP_MULTI_CORE)
-    if speedup is None:
-        failures.append("shard_speedup missing from benchmark results")
-    elif speedup < floor:
-        failures.append(
-            f"shard_speedup at {speedup:.2f}x is below the "
-            f"{'single' if single_core else 'multi'}-core floor {floor}x")
-
-    # Bit-identity smoke: a sharded 4x4 run must not depend on worker count.
-    scenario = Scenario.scale_multi_hop(4, 4)
-    runs = [dataclasses.asdict(
-        run_multihop_consensus("honeybadger-sc", scenario, seed=0, shards=4,
-                               shard_workers=workers))
-        for workers in (1, 2)]
-    if runs[0] != runs[1]:
-        failures.append("sharded 4x4 run is not bit-identical across "
-                        "shard_workers 1 vs 2")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--baseline",
@@ -245,7 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     _check_ratio_invariants(document, failures)
     if args.full:
         _check_full_mode_gates(document, args.baseline, failures)
-        _check_shard_gates(document, failures)
     else:
         print("quick mode: same-run ratio invariants only "
               "(use --full for baseline and native-floor gates)")

@@ -195,47 +195,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def run_window(self, until: float,
-                   poll: Optional[Callable[[], None]] = None) -> int:
-        """Run every event with ``time <= until``, then land exactly on ``until``.
-
-        The conservative-synchronization primitive: a shard executes one
-        barrier window ``(now, until]`` with this call.  Events scheduled at
-        exactly ``until`` execute (cross-shard transmissions land precisely on
-        the horizon, so the boundary must be inclusive), an empty window
-        fast-forwards the clock to ``until`` without touching the heap, and
-        ``poll`` -- when given -- runs after every processed event (the
-        multi-hop harness uses it to couple local decisions into the global
-        domain at the same per-event cadence as :meth:`run_until`).
-
-        Returns the number of events processed in the window.
-        """
-        processed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        self._running = True
-        try:
-            while queue:
-                when, _, event = queue[0]
-                if when > until:
-                    break
-                pop(queue)
-                if event.cancelled:
-                    self._cancelled_queued[0] -= 1
-                    continue
-                event._cancel_tally = None  # see run(): popped events must not tally
-                self._now = when
-                event.callback()
-                self._events_processed += 1
-                processed += 1
-                if poll is not None:
-                    poll()
-            if until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-        return processed
-
     def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
         """Run until ``predicate()`` is true or ``timeout`` virtual seconds pass.
 
@@ -269,25 +228,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest live (non-cancelled) queued event, or None.
-
-        Cancelled entries found at the top are dropped on the way (they would
-        be skipped by the run loops anyway), so the answer is exact.  The
-        sharded engine uses this as a lookahead ingredient: no fresh work --
-        in particular no fresh backbone channel access -- can originate
-        before this instant.
-        """
-        queue = self._queue
-        while queue:
-            when, _, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_queued[0] -= 1
-                continue
-            return when
-        return None
 
 
 class Timer:

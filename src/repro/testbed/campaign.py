@@ -83,17 +83,11 @@ class TopologySpec:
     num_clusters: int = 0
     cluster_size: int = 0
     profile: str = "paper"  # "paper" | "scale"
-    #: > 0 runs the cell on the sharded simulator (conservative
-    #: synchronization, one event loop per cluster block); 0 keeps the
-    #: classic single-heap path.  Labels and cell ids are unaffected.
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.profile not in ("paper", "scale"):
             raise ValueError(f"unknown topology profile {self.profile!r}; "
                              f"known: paper, scale")
-        if self.shards and not self.is_multi_hop:
-            raise ValueError("shards require a multi-hop topology")
 
     @classmethod
     def single(cls, num_nodes: int, profile: str = "paper") -> "TopologySpec":
@@ -102,10 +96,10 @@ class TopologySpec:
 
     @classmethod
     def multi(cls, num_clusters: int, cluster_size: int,
-              profile: str = "paper", shards: int = 0) -> "TopologySpec":
+              profile: str = "paper") -> "TopologySpec":
         """A clustered multi-hop deployment."""
         return cls(kind="multi-hop", num_clusters=num_clusters,
-                   cluster_size=cluster_size, profile=profile, shards=shards)
+                   cluster_size=cluster_size, profile=profile)
 
     @property
     def is_multi_hop(self) -> bool:
@@ -618,20 +612,18 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
             faults=("none", "crash-f", "garbage", "quorum-loss"),
             seeds=(0,), base_seed=base_seed)
         cells.extend(large.cells())
-        # Grids past the classic heap's practical ceiling, on the sharded
-        # simulator (one shard per cluster).  16x16 also runs under crash
-        # faults; 32x32 (1024 nodes, ~1.6M events) stays fault-free to keep
-        # the full campaign's wall clock bounded.
-        sharded = CampaignSpec(
+        # The largest grids, on the one simulator heap.  A 16x16 cell takes
+        # ~20 s of wall clock on a 2-core host (~11 s under crash faults);
+        # 32x32 (1024 nodes, ~1.5M events, ~230 s and ~1.2 GB peak RSS)
+        # stays fault-free to keep the full campaign's wall clock bounded.
+        grid16 = CampaignSpec(
             protocols=("honeybadger-sc", "beat"),
-            topologies=(TopologySpec.multi(16, 16, profile="scale",
-                                           shards=16),),
+            topologies=(TopologySpec.multi(16, 16, profile="scale"),),
             faults=("none", "crash-f"), seeds=(0,), base_seed=base_seed)
-        cells.extend(sharded.cells())
+        cells.extend(grid16.cells())
         frontier = CampaignSpec(
             protocols=("honeybadger-sc",),
-            topologies=(TopologySpec.multi(32, 32, profile="scale",
-                                           shards=32),),
+            topologies=(TopologySpec.multi(32, 32, profile="scale"),),
             faults=("none",), seeds=(0,), base_seed=base_seed)
         cells.extend(frontier.cells())
     return cells
@@ -725,13 +717,10 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
     else:
         workload_spec = WorkloadSpec(flavor=cell.flavor, **sizes)
         if cell.topology.is_multi_hop:
-            # shard_workers stays 1: campaign runners already parallelise
-            # across cells, and worker count never changes results anyway
             result = run_multihop_consensus(cell.protocol, scenario,
                                             seed=cell.seed,
                                             workload_spec=workload_spec,
-                                            observer=observer,
-                                            shards=cell.topology.shards or None)
+                                            observer=observer)
         else:
             result = run_consensus(cell.protocol, scenario, seed=cell.seed,
                                    workload_spec=workload_spec,

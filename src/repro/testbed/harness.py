@@ -23,19 +23,17 @@ The single-epoch machinery (:func:`install_epoch_protocols`,
 streaming runner, which replays it once per epoch on one long-lived
 deployment.
 
-:func:`build_deployment` is the only deployment builder: it also builds
-one shard's slice for the sharded engine (:mod:`repro.testbed.sharding`),
-and :func:`bind_member` wires every member's stack, including the
-committees a membership reconfiguration rebuilds.  The multi-hop epoch
-(:class:`MultiHopEpoch`, :func:`multihop_result`) is likewise shared by
-the classic and the sharded run.
+:func:`build_deployment` is the only deployment builder, and
+:func:`bind_member` wires every member's stack, including the committees a
+membership reconfiguration rebuilds.  :func:`feed_decided_clusters` couples
+local decisions into the global domain for both the one-epoch multi-hop run
+and the multi-hop stream.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.components.aba_bracha import BrachaAba
@@ -61,9 +59,7 @@ from repro.net.channel import WirelessChannel
 from repro.net.csma import CsmaMac
 from repro.net.node import NetworkNode
 from repro.net.routing import InterClusterRouting
-from repro.net.shard import ShardBackboneChannel, ShardCsmaMac
 from repro.net.sim import Simulator
-from repro.net.topology import Cluster
 from repro.net.trace import NetworkTrace
 from repro.protocols.base import ConsensusConfig, ConsensusProtocol, ProtocolName
 from repro.protocols.beat import Beat
@@ -160,8 +156,7 @@ class DomainRuntime:
 
 @dataclass
 class Deployment:
-    """A fully assembled single-hop or multi-hop deployment, or one shard's
-    slice of a multi-hop one (see :func:`build_deployment`)."""
+    """A fully assembled single-hop or multi-hop deployment."""
 
     scenario: Scenario
     sim: Simulator
@@ -243,28 +238,20 @@ def bind_member(deployment: Deployment, node: NetworkNode, domain: CryptoDomain,
 
 
 def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
-    """Apply strategies that act at the network level (crash, delays, loss).
-
-    Crashes act on the node object, so only where the node is built.  Slow
-    and lossy links act at delivery time in the *receiving* adversary, so
-    they are registered for every node of the topology: a shard slice then
-    delays or drops frames from a byzantine sender that another shard hosts.
-    """
+    """Apply strategies that act at the network level (crash, delays, loss)."""
     scenario = deployment.scenario
     spec = scenario.byzantine
-    topology_ids = [node_id for cluster in scenario.topology.clusters
-                    for node_id in cluster.node_ids]
     for node_id, strategy in spec.assignments.items():
         node = deployment.nodes.get(node_id)
-        if strategy == "crash" and node is not None:
+        if node is None:
+            continue
+        if strategy == "crash":
             node.crash()
-        elif strategy == "late-crash" and node is not None:
+        elif strategy == "late-crash":
             deployment.sim.schedule(spec.late_crash_at_s, node.crash,
                                     label=f"late-crash:{node_id}")
-        elif node_id not in topology_ids:
-            continue
         elif strategy == "slow-links":
-            for other_id in topology_ids:
+            for other_id in deployment.nodes:
                 if other_id != node_id:
                     deployment.adversary.target_link(node_id, other_id,
                                                      spec.slow_link_delay_s)
@@ -281,8 +268,7 @@ def build_deployment(scenario: Scenario, batched: bool = True,
                      crypto_schemes: Sequence[str] = ALL_SCHEMES,
                      global_crypto_schemes: Optional[Sequence[str]] = None,
                      dealer_cache: Optional[DealerCache] = None,
-                     batch_session: Optional[BatchVerifySession] = None,
-                     shard: Optional[tuple[int, Sequence[int]]] = None
+                     batch_session: Optional[BatchVerifySession] = None
                      ) -> Deployment:
     """Assemble nodes, channels, crypto and transports for a scenario.
 
@@ -296,33 +282,13 @@ def build_deployment(scenario: Scenario, batched: bool = True,
     streaming stream) is shared by every node's :class:`CryptoSuite` so
     batch-verification work repeated across simulated nodes and epochs is
     memoised -- wall clock only, never modelled cost or results.
-
-    ``shard`` -- ``(shard_index, cluster_indices)`` of a multi-hop scenario
-    -- builds one shard's slice for the sharded engine
-    (:mod:`repro.testbed.sharding`): the simulator is seeded from
-    ``stable_seed(seed, "shard", shard_index)``, only the listed clusters are
-    built, and the backbone is a :class:`~repro.net.shard.ShardBackboneChannel`
-    mirror on which only the local leaders attach (shard-aware) MACs.  Every
-    other stream keeps its classic ``stable_seed`` label, so a node is wired
-    identically whichever slice hosts it, and leaders, the hop table and the
-    global domain are resolved for *all* clusters in every slice.
     """
     if global_crypto_schemes is None:
         global_crypto_schemes = crypto_schemes
     clusters = scenario.topology.clusters
     backbone_name = scenario.topology.global_channel_name
     multi_hop = scenario.is_multi_hop and backbone_name is not None
-    if shard is None:
-        sim = Simulator(seed=seed)
-        local_clusters = clusters
-    else:
-        if not multi_hop:
-            raise DeploymentError(
-                "shard: a shard slice needs a multi-hop scenario (the "
-                "backbone is the only coupling between shards)")
-        shard_index, cluster_indices = shard
-        sim = Simulator(seed=stable_seed(seed, "shard", shard_index))
-        local_clusters = [clusters[index] for index in cluster_indices]
+    sim = Simulator(seed=seed)
     trace = NetworkTrace()
     adversary = AsyncAdversary(
         byzantine=set(scenario.byzantine.byzantine_ids),
@@ -334,21 +300,19 @@ def build_deployment(scenario: Scenario, batched: bool = True,
                             runtimes={}, batched=batched)
     channels, nodes = deployment.channels, deployment.nodes
 
-    for cluster in local_clusters:
+    for cluster in clusters:
         channels[cluster.channel_name] = WirelessChannel(
             sim, scenario.radio, trace, name=cluster.channel_name,
             adversary=adversary)
     if multi_hop:
         routing = InterClusterRouting(scenario.topology)
-        channel_class = WirelessChannel if shard is None \
-            else partial(ShardBackboneChannel, shard_index=shard[0])
-        backbone = channel_class(
+        backbone = WirelessChannel(
             sim, scenario.radio, trace, name=backbone_name, adversary=adversary,
             per_hop_forward_s=scenario.per_hop_forward_s)
         channels[backbone_name] = backbone
 
     # --- per-cluster (local) domains -------------------------------------
-    for cluster in local_clusters:
+    for cluster in clusters:
         domain = deal_crypto_domain(
             cluster.size, stable_seed(seed, "cluster", cluster.index),
             schemes=crypto_schemes, cache=dealer_cache)
@@ -387,17 +351,13 @@ def build_deployment(scenario: Scenario, batched: bool = True,
             len(leaders), stable_seed(seed, "global"),
             schemes=global_crypto_schemes, cache=dealer_cache)
         backbone.hop_counts.update(routing.hop_table_for(leaders))
-        mac_class = CsmaMac if shard is None else ShardCsmaMac
         backbone_config = replace(
             scenario.transport,
             interface=scenario.transport.interface or "backbone")
-        local_indices = {cluster.index for cluster in local_clusters}
-        for local_id, (cluster, leader_id) in enumerate(zip(clusters, leaders)):
-            if cluster.index not in local_indices:
-                continue
+        for local_id, leader_id in enumerate(leaders):
             node = nodes[leader_id]
-            mac = mac_class(sim, leader_id, backbone, scenario.csma, trace,
-                            random.Random(stable_seed(seed, "gmac", leader_id)))
+            mac = CsmaMac(sim, leader_id, backbone, scenario.csma, trace,
+                          random.Random(stable_seed(seed, "gmac", leader_id)))
             node.add_interface("backbone", mac)
             deployment.global_runtimes[leader_id] = bind_member(
                 deployment, node, global_domain, local_id,
@@ -411,25 +371,6 @@ def build_deployment(scenario: Scenario, batched: bool = True,
 
     _apply_byzantine_network_behaviour(deployment)
     return deployment
-
-
-def _epoch_leader(scenario: Scenario, cluster: Cluster) -> int:
-    """The leader a *fresh* deployment of ``scenario`` would wire for
-    ``cluster`` (a stateless convenience for tests and planning code).
-
-    The rotation discipline itself lives in
-    :meth:`repro.protocols.multihop.LeaderSchedule.active_leader`; deployments
-    own one schedule per cluster (``Deployment.leader_schedules``) so
-    exclusions persist for the deployment's whole life -- a rotated-out
-    leader is never re-selected in any later epoch (regression-tested in
-    ``tests/testbed/test_leader_rotation.py``).  Callers holding a deployment
-    should read ``deployment.epoch_leaders`` instead of calling this.
-    """
-    return LeaderSchedule(cluster).active_leader(
-        epoch=0,
-        crashed=lambda node_id:
-            scenario.byzantine.assignments.get(node_id) == "crash",
-        rotate=scenario.rotate_crashed_leaders)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +633,7 @@ def feed_decided_clusters(deployment: Deployment,
     and that has no entry in ``outcomes`` yet, records the outcome and
     schedules the leader's global instance to propose the cluster's
     contribution.  Run after every event by the one-epoch multi-hop run
-    (classic and sharded) and by the multi-hop stream.
+    and by the multi-hop stream.
     """
     for cluster_index, leader_id in leaders:
         if cluster_index in outcomes:
@@ -711,159 +652,13 @@ def feed_decided_clusters(deployment: Deployment,
                 lambda p=global_protocol, c=contribution: p.propose([c]))
 
 
-class MultiHopEpoch:
-    """One two-phase epoch on a multi-hop deployment (or one shard slice).
-
-    Construction builds the deployment (``shard`` as in
-    :func:`build_deployment`), installs the local and global protocol
-    instances and submits the local proposals.  :meth:`poll`, run after
-    every processed event, feeds each built cluster's locally decided block
-    into its leader's global instance; :meth:`done` reports whether every
-    honest leader built here has decided globally.  :meth:`report` shuts
-    the deployment down and returns picklable witnesses, which
-    :func:`multihop_result` merges -- one report for a classic run, one per
-    shard for the sharded engine.
-    """
-
-    def __init__(self, protocol: str, scenario: Scenario, batched: bool,
-                 seed: int, config: Optional[ConsensusConfig],
-                 workload_spec: WorkloadSpec, observer: Any = None,
-                 shard: Optional[tuple[int, Sequence[int]]] = None) -> None:
-        global_config = global_consensus_config(config)
-        self.deployment = deployment = build_deployment(
-            scenario, batched=batched, seed=seed,
-            crypto_schemes=crypto_schemes_for_protocol(protocol, config),
-            global_crypto_schemes=crypto_schemes_for_protocol(protocol,
-                                                              global_config),
-            shard=shard)
-        workload = TransactionWorkload(workload_spec, seed=seed)
-        self.local_protocols = install_epoch_protocols(
-            deployment, protocol, deployment.runtimes, config)
-        self.global_protocols = install_epoch_protocols(
-            deployment, protocol, deployment.global_runtimes, global_config)
-        cluster_of = {node_id: cluster.index
-                      for cluster in scenario.topology.clusters
-                      for node_id in cluster.node_ids}
-        self.cluster_of = cluster_of
-        propose_epoch(deployment, deployment.runtimes, workload,
-                      observer=observer,
-                      domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
-        self.outcomes: dict[int, ClusterOutcome] = {}
-        # The deployment's schedules already resolved (and, under
-        # rotate_crashed_leaders, rotated) the wired leader per cluster.
-        self.watched = [(cluster_index, leader)
-                        for cluster_index, leader
-                        in deployment.epoch_leaders.items()
-                        if leader in deployment.nodes]
-        self.honest_leaders = [leader for leader in deployment.global_runtimes
-                               if leader not in scenario.byzantine.byzantine_ids]
-
-    def poll(self) -> None:
-        feed_decided_clusters(self.deployment, self.watched,
-                              self.local_protocols, self.global_protocols,
-                              self.outcomes)
-
-    def done(self) -> bool:
-        return all(self.global_protocols[leader].decided
-                   for leader in self.honest_leaders)
-
-    def report(self) -> dict[str, Any]:
-        self.deployment.shutdown()
-        byzantine = self.deployment.scenario.byzantine.byzantine_ids
-        local_witnesses = []
-        for node_id, instance in self.local_protocols.items():
-            if node_id in byzantine:
-                continue
-            witness = instance.witness()
-            if witness.block is None:
-                continue
-            local_witnesses.append((node_id, self.cluster_of[node_id],
-                                    list(witness.block), witness.decide_time,
-                                    witness.digest))
-        global_witnesses = []
-        for leader in self.honest_leaders:
-            witness = self.global_protocols[leader].witness()
-            global_witnesses.append((leader, list(witness.block or []),
-                                     witness.decide_time, witness.digest))
-        return {
-            "local_latencies": {
-                outcome.cluster_index: outcome.decide_time
-                for outcome in self.outcomes.values()
-                if outcome.decide_time is not None},
-            "local_witnesses": local_witnesses,
-            "global_witnesses": global_witnesses,
-        }
-
-
-def multihop_result(protocol: str, scenario: Scenario, batched: bool,
-                    seed: int, decided: bool, reports: Sequence[dict],
-                    trace: NetworkTrace, sim_events: int,
-                    observer: Optional[RunObserver] = None) -> MultiHopRunResult:
-    """Merge :meth:`MultiHopEpoch.report` dicts into the run's result.
-
-    ``reports`` come in cluster order (shards hold contiguous cluster
-    blocks), so the observer sees every local decision, then every global
-    one, in the classic order.  ``latency_s`` is the time the slowest
-    honest leader decides globally.
-    """
-    local_latencies: dict[int, float] = {}
-    for report in reports:
-        local_latencies.update(report["local_latencies"])
-    if observer is not None:
-        for report in reports:
-            for node_id, cluster_index, block, decide_time, digest \
-                    in report["local_witnesses"]:
-                observer.record_decision(node_id, block, decide_time,
-                                         domain=("cluster", cluster_index),
-                                         digest=digest)
-    global_witnesses = [witness for report in reports
-                        for witness in report["global_witnesses"]]
-    global_decide_times = [decide_time
-                           for _leader, _block, decide_time, _digest
-                           in global_witnesses
-                           if decide_time is not None]
-    latency = max(global_decide_times) if global_decide_times else float("nan")
-    committed = 0
-    digest = ""
-    per_leader_digest: dict[int, str] = {}
-    for leader, block, decide_time, leader_digest in global_witnesses:
-        if not block:
-            continue
-        per_leader_digest[leader] = leader_digest
-        transactions = [transaction for item in block
-                        for transaction in _decode_contribution_txs(item)]
-        if not digest:
-            committed = len(transactions)
-            digest = leader_digest
-        if observer is not None:
-            observer.record_decision(leader, list(block), decide_time,
-                                     domain="global",
-                                     transactions=transactions,
-                                     digest=leader_digest)
-    return MultiHopRunResult(
-        protocol=protocol, batched=batched,
-        num_clusters=scenario.topology.num_clusters,
-        nodes_per_cluster=scenario.topology.clusters[0].size,
-        decided=decided, latency_s=latency,
-        local_latencies_s=local_latencies,
-        committed_transactions=committed,
-        block_digest=digest,
-        per_leader_digest=per_leader_digest,
-        channel_accesses=trace.total_channel_accesses,
-        bytes_sent=trace.total_bytes_sent,
-        collisions=trace.total_collisions,
-        sim_events=sim_events,
-        seed=seed)
-
-
 def run_multihop_consensus(protocol: str, scenario: Scenario,
                            batch_size: int = 8, transaction_bytes: int = 64,
                            batched: bool = True, seed: int = 0,
                            config: Optional[ConsensusConfig] = None,
                            workload_spec: Optional[WorkloadSpec] = None,
-                           observer: Optional[RunObserver] = None,
-                           shards: Optional[int] = None,
-                           shard_workers: int = 1) -> MultiHopRunResult:
+                           observer: Optional[RunObserver] = None
+                           ) -> MultiHopRunResult:
     """Run the two-phase local + global consensus on a multi-hop scenario.
 
     Phase one runs ``protocol`` inside every cluster on the cluster's own
@@ -875,46 +670,98 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     :class:`~repro.testbed.metrics.MultiHopRunResult` adds per-cluster local
     latencies (``local_latencies_s``, virtual seconds) and per-leader block
     digests; ``latency_s`` is the time the *slowest honest leader* decides
-    globally.
-
-    ``shards`` (``None`` = the classic single-heap path, bit-for-bit
-    unchanged) partitions the clusters into that many contiguous groups,
-    each with its own event heap and RNG streams, synchronized
-    conservatively at barrier windows (see :mod:`repro.net.shard`).  A
-    sharded result is a pure function of ``(protocol, scenario, workload,
-    batched, seed, shards)``; ``shard_workers`` only picks how many worker
-    processes execute the identical barrier schedule, so every worker count
-    reproduces every metric bit for bit (property-tested in
-    ``tests/testbed/test_shard_identity.py``).  ``shard_workers`` other than
-    1 without ``shards`` raises :class:`DeploymentError`.
+    globally.  The observer sees every local decision, in cluster order,
+    then every global one.
     """
     if not scenario.is_multi_hop:
         raise DeploymentError("run_multihop_consensus expects a multi-hop scenario")
     _reject_streaming_only_strategies(scenario)
     workload_spec = workload_spec or WorkloadSpec(
         batch_size=batch_size, transaction_bytes=transaction_bytes)
-    if shards is not None:
-        from repro.testbed.sharding import run_sharded_multihop_consensus
-        return run_sharded_multihop_consensus(
-            protocol, scenario, shards=shards, shard_workers=shard_workers,
-            batched=batched, seed=seed, config=config,
-            workload_spec=workload_spec, observer=observer)
-    if shard_workers != 1:
-        raise DeploymentError(
-            f"shard_workers={shard_workers} needs shards: the classic "
-            f"single-heap path runs in one process")
-    epoch = MultiHopEpoch(protocol, scenario, batched, seed, config,
-                          workload_spec, observer)
-    deployment = epoch.deployment
+    global_config = global_consensus_config(config)
+    deployment = build_deployment(
+        scenario, batched=batched, seed=seed,
+        crypto_schemes=crypto_schemes_for_protocol(protocol, config),
+        global_crypto_schemes=crypto_schemes_for_protocol(protocol,
+                                                          global_config))
+    workload = TransactionWorkload(workload_spec, seed=seed)
+    local_protocols = install_epoch_protocols(
+        deployment, protocol, deployment.runtimes, config)
+    global_protocols = install_epoch_protocols(
+        deployment, protocol, deployment.global_runtimes, global_config)
+    cluster_of = {node_id: cluster.index
+                  for cluster in scenario.topology.clusters
+                  for node_id in cluster.node_ids}
+    propose_epoch(deployment, deployment.runtimes, workload,
+                  observer=observer,
+                  domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
+    outcomes: dict[int, ClusterOutcome] = {}
+    # The deployment's schedules already resolved (and, under
+    # rotate_crashed_leaders, rotated) the wired leader per cluster.
+    leaders = list(deployment.epoch_leaders.items())
+    byzantine = scenario.byzantine.byzantine_ids
+    honest_leaders = [leader for leader in deployment.global_runtimes
+                      if leader not in byzantine]
 
     def poll() -> bool:
-        epoch.poll()
-        return epoch.done()
+        feed_decided_clusters(deployment, leaders, local_protocols,
+                              global_protocols, outcomes)
+        return all(global_protocols[leader].decided
+                   for leader in honest_leaders)
 
     decided = deployment.sim.run_until(poll, timeout=scenario.timeout_s)
-    return multihop_result(protocol, scenario, batched, seed, decided,
-                           [epoch.report()], deployment.trace,
-                           deployment.sim.events_processed, observer=observer)
+    deployment.shutdown()
+
+    if observer is not None:
+        for node_id, instance in local_protocols.items():
+            if node_id in byzantine:
+                continue
+            witness = instance.witness()
+            if witness.block is None:
+                continue
+            observer.record_decision(node_id, list(witness.block),
+                                     witness.decide_time,
+                                     domain=("cluster", cluster_of[node_id]),
+                                     digest=witness.digest)
+    global_witnesses = [(leader, global_protocols[leader].witness())
+                        for leader in honest_leaders]
+    global_decide_times = [witness.decide_time
+                           for _leader, witness in global_witnesses
+                           if witness.decide_time is not None]
+    latency = max(global_decide_times) if global_decide_times else float("nan")
+    committed = 0
+    digest = ""
+    per_leader_digest: dict[int, str] = {}
+    for leader, witness in global_witnesses:
+        if not witness.block:
+            continue
+        per_leader_digest[leader] = witness.digest
+        transactions = [transaction for item in witness.block
+                        for transaction in _decode_contribution_txs(item)]
+        if not digest:
+            committed = len(transactions)
+            digest = witness.digest
+        if observer is not None:
+            observer.record_decision(leader, list(witness.block),
+                                     witness.decide_time, domain="global",
+                                     transactions=transactions,
+                                     digest=witness.digest)
+    return MultiHopRunResult(
+        protocol=protocol, batched=batched,
+        num_clusters=scenario.topology.num_clusters,
+        nodes_per_cluster=scenario.topology.clusters[0].size,
+        decided=decided, latency_s=latency,
+        local_latencies_s={outcome.cluster_index: outcome.decide_time
+                           for outcome in outcomes.values()
+                           if outcome.decide_time is not None},
+        committed_transactions=committed,
+        block_digest=digest,
+        per_leader_digest=per_leader_digest,
+        channel_accesses=deployment.trace.total_channel_accesses,
+        bytes_sent=deployment.trace.total_bytes_sent,
+        collisions=deployment.trace.total_collisions,
+        sim_events=deployment.sim.events_processed,
+        seed=seed)
 
 
 def _decode_contribution_txs(item: bytes) -> list[bytes]:

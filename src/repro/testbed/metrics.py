@@ -362,7 +362,7 @@ class MultiHopRunResult:
     channel_accesses: int = 0
     bytes_sent: int = 0
     collisions: int = 0
-    #: total simulator events processed (summed over shards when sharded)
+    #: total simulator events processed
     sim_events: int = 0
     seed: int = 0
 

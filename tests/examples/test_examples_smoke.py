@@ -30,9 +30,6 @@ CASES = [
      "invariant scenario-recovery: ok"),
     ("scenario_replay.py", ["--list"],
      "variable-link"),
-    ("sharded_scale.py", ["--clusters", "4", "--cluster-size", "4",
-                          "--workers", "2"],
-     "bit-identical"),
 ]
 
 

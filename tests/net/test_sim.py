@@ -227,3 +227,60 @@ class TestPeriodicTimer:
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):
             PeriodicTimer(Simulator(), 0.0, lambda: None)
+
+
+class TestScheduleValidation:
+    def test_nan_delay_raises_and_names_the_label(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match=r"'resend:7'.*NaN"):
+            sim.schedule(float("nan"), lambda: None, label="resend:7")
+
+    def test_nan_delay_without_label_names_unlabelled(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="<unlabelled>"):
+            sim.schedule(float("nan"), lambda: None)
+
+    def test_negative_delay_raises_with_delay_value(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match=r"'tx-end:ch0:1'.*-0\.5"):
+            sim.schedule(-0.5, lambda: None, label="tx-end:ch0:1")
+
+    def test_zero_delay_is_allowed(self):
+        sim = Simulator()
+        ran = []
+        sim.schedule(0.0, lambda: ran.append(True), label="soon")
+        sim.run()
+        assert ran == [True]
+
+    def test_nan_rejected_before_it_can_poison_heap_order(self):
+        # The historical failure mode: NaN compares false against
+        # everything, so heapq's sift stops immediately and later pops
+        # come out in arbitrary order.  The guard must fire on schedule,
+        # not on pop.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events() == 1
+
+    def test_schedule_at_nan_raises(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match=r"'probe'.*NaN"):
+            sim.schedule_at(float("nan"), lambda: None, label="probe")
+
+    def test_schedule_at_past_raises_and_names_label(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError, match=r"'late'.*0\.5"):
+            sim.schedule_at(0.5, lambda: None, label="late")
+
+    def test_schedule_at_now_is_allowed(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        ran = []
+        sim.schedule_at(1.0, lambda: ran.append(True))
+        sim.run()
+        assert ran == [True]

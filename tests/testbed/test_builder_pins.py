@@ -1,14 +1,11 @@
 """Literal pins for every path that builds a deployment.
 
-The sharded engine is otherwise checked only for worker-count invariance,
-which a change in construction order (an RNG stream drawn in another order,
-a stack bound to another node) would pass while silently changing results.
-Every value below was recorded before the classic and sharded builders were
-merged into one; a change to any of them means a deployment is now wired
+A change in construction order (an RNG stream drawn in another order, a
+stack bound to another node) changes results silently; every value below
+pins the wiring, so a change to any of them means a deployment is now wired
 differently.
 
-Covered: the classic multi-hop run (fault-free, and with slow and lossy
-links), the sharded ``shards=2`` run with its per-shard event split, a
+Covered: the multi-hop run (fault-free, and with slow and lossy links), a
 short multi-hop stream, and one short churn stream, whose committee
 reconfigurations rebuild the per-member stacks mid-run.
 """
@@ -18,7 +15,6 @@ import pytest
 from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.harness import run_multihop_consensus
 from repro.testbed.scenarios import Scenario
-from repro.testbed.sharding import run_sharded_multihop_consensus
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec, ChurnSpec
 
@@ -29,12 +25,6 @@ BEAT_DIGEST = "7a93b8f25a034dedeb0b4ab472dbf3750fd4a786aa8bb16c1ddf3a11bb43f85a"
 CLASSIC_PINS = {
     "honeybadger-sc": (HB_DIGEST, 0.2643007037085377, 1434),
     "beat": (BEAT_DIGEST, 0.2590230813602643, 1476),
-}
-
-#: protocol -> (block digest, latency_s, sim_events, events per shard)
-SHARDED_PINS = {
-    "honeybadger-sc": (HB_DIGEST, 0.28859473782712647, 1412, [623, 789]),
-    "beat": (BEAT_DIGEST, 0.2662567853119721, 1491, [821, 670]),
 }
 
 #: the epoch-0 leaders of scale_multi_hop(2, 4)
@@ -54,8 +44,7 @@ def test_classic_multihop_pins(protocol):
 
 
 def test_classic_network_faults_pin():
-    # Slow and lossy links are registered for every node of the topology;
-    # on a classic build that is the node set, in the same order.
+    # Slow and lossy links are registered for every node of the topology.
     scenario = Scenario.scale_multi_hop(2, 4).with_byzantine(
         ByzantineSpec(assignments={0: "slow-links", 6: "lossy-links"}))
     result = run_multihop_consensus("honeybadger-sc", scenario, seed=0)
@@ -66,22 +55,6 @@ def test_classic_network_faults_pin():
     assert result.committed_transactions == 48
     assert result.latency_s == 8.483326632440953
     assert result.sim_events == 1786
-
-
-@pytest.mark.parametrize("protocol", sorted(SHARDED_PINS))
-def test_sharded_multihop_pins(protocol):
-    digest, latency, events, split = SHARDED_PINS[protocol]
-    stats = []
-    result = run_sharded_multihop_consensus(
-        protocol, Scenario.scale_multi_hop(2, 4), shards=2, seed=0,
-        shard_stats=stats)
-    assert result.decided
-    assert result.block_digest == digest
-    assert result.per_leader_digest == {leader: digest for leader in LEADERS}
-    assert result.latency_s == latency
-    assert result.sim_events == events
-    assert stats == [{"shard": 0, "clusters": [0], "events": split[0]},
-                     {"shard": 1, "clusters": [1], "events": split[1]}]
 
 
 def test_multihop_stream_pins():

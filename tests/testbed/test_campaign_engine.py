@@ -1,6 +1,7 @@
 """Unit tests for the campaign engine (cheap; the matrix itself is the
 ``campaign`` marker tier in tests/campaign/)."""
 
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,27 @@ class TestCells:
 
     def test_full_matrix_extends_quick(self):
         assert len(default_cells(quick=False)) > len(default_cells(quick=True))
+
+    def test_full_matrix_cell_ids_and_seeds_pinned(self):
+        # The full matrix as (cell_id, seed) pairs, pinned as a digest of
+        # its JSON form; the largest grids are also spelled out.
+        pairs = [(cell.cell_id, cell.seed)
+                 for cell in default_cells(quick=False)]
+        assert len(pairs) == 170
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+            "5269525ac0565bba9f6de3240f75e77f091c987f564bac9d78a26a1a74ee729d")
+        largest = [pair for pair in pairs
+                   if "mh16x16" in pair[0] or "mh32x32" in pair[0]]
+        assert largest == [
+            ("honeybadger-sc|scale-mh16x16|none|uniform|s2276605733",
+             2276605733),
+            ("honeybadger-sc|scale-mh16x16|crash-f|uniform|s3889715233",
+             3889715233),
+            ("beat|scale-mh16x16|none|uniform|s187716570", 187716570),
+            ("beat|scale-mh16x16|crash-f|uniform|s2478746343", 2478746343),
+            ("honeybadger-sc|scale-mh32x32|none|uniform|s2845669517",
+             2845669517),
+        ]
 
     def test_campaign_spec_cartesian(self):
         spec = CampaignSpec(protocols=("beat",),

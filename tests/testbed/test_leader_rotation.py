@@ -11,7 +11,7 @@ import pytest
 from repro.net.topology import MultiHopTopology
 from repro.protocols.multihop import LeaderSchedule, select_leader
 from repro.testbed.byzantine import ByzantineSpec
-from repro.testbed.harness import _epoch_leader, run_multihop_consensus
+from repro.testbed.harness import build_deployment, run_multihop_consensus
 from repro.testbed.scenarios import Scenario
 
 
@@ -68,13 +68,15 @@ class TestHarnessRotation:
         leader = select_leader(cluster0(scenario), epoch=0)
         crashed = scenario.with_byzantine(
             ByzantineSpec.crash_nodes([leader]))
-        assert _epoch_leader(crashed, cluster0(crashed)) == leader
+        assert build_deployment(crashed, seed=0).epoch_leaders[
+            cluster0(crashed).index] == leader
 
     def test_rotation_replaces_crashed_leader(self):
         scenario = Scenario.multi_hop(4, 4, rotate_crashed_leaders=True)
         leader = select_leader(cluster0(scenario), epoch=0)
         crashed = scenario.with_byzantine(ByzantineSpec.crash_nodes([leader]))
-        replacement = _epoch_leader(crashed, cluster0(crashed))
+        replacement = build_deployment(crashed, seed=0).epoch_leaders[
+            cluster0(crashed).index]
         assert replacement != leader
         assert replacement in cluster0(crashed).node_ids
 
@@ -87,7 +89,8 @@ class TestHarnessRotation:
         second = schedule.leader(epoch=1)
         crashed = scenario.with_byzantine(
             ByzantineSpec.crash_nodes([first, second]))
-        replacement = _epoch_leader(crashed, cluster)
+        replacement = build_deployment(crashed, seed=0).epoch_leaders[
+            cluster.index]
         assert replacement not in (first, second)
 
     def test_multihop_decides_with_rotated_leader(self):
